@@ -76,8 +76,9 @@ int main() {
                 sum / static_cast<double>(combos), hi, hi - lo);
   }
 
-  // Ablation flagged in DESIGN.md: window semantics (jobs starting within
-  // vs overlapping the look-back window).
+  // Ablation of the look-back window semantics (jobs starting within vs
+  // overlapping the window; README.md, "Design notes: Look-back window
+  // semantics").
   std::vector<sim::ExperimentCell> semantic_cells;
   const std::vector<double> semantic_quotas = {0.01, 0.1, 0.5};
   for (double quota : semantic_quotas) {

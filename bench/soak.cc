@@ -3,8 +3,10 @@
 // Replays weeks of virtual time — far past the two-week figure regime —
 // and emits ScaleStore-style per-virtual-hour operator counters (savings,
 // hint on-time fraction, retrain/swap counts, SSD occupancy) as CSV, plus a
-// one-object JSON summary (peak RSS, jobs/sec) that tools/bench_summary.py
-// ingests into BENCH_microbench.json.
+// one-object JSON summary (peak RSS, jobs/sec, process CPU seconds and the
+// wall/CPU ratio) that tools/bench_summary.py ingests into
+// BENCH_microbench.json. The run is deterministic and single-threaded, so
+// wall/CPU should read ~1.0; anything above means the replay sleeps.
 //
 // Two modes, same work:
 //   --mode=stream        pull jobs from a GeneratedStream (O(window) memory:
@@ -20,6 +22,8 @@
 //              [--counter-period=3600] [--retrain-period=86400]
 //              [--use-leads=0|1] [--lead-scale=1.0]
 //              [--csv=rows.csv] [--json=summary.json]
+#include <time.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -126,6 +130,14 @@ std::uint64_t peak_rss_kb() {
   return kb;
 }
 
+// Process CPU time (user + sys, every thread) in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 // Streams rows to CSV as windows close — O(1) memory, like everything else
 // on the soak path — while folding the handful of aggregates the JSON
 // summary reports.
@@ -216,6 +228,7 @@ int main(int argc, char** argv) {
   CsvCounterSink sink(csv);
 
   const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_seconds();
   sim::SimResult result;
   std::size_t jobs = 0;
 
@@ -260,6 +273,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
+  const double cpu_seconds = process_cpu_seconds() - cpu_start;
 
   if (csv != nullptr) std::fclose(csv);
 
@@ -272,18 +286,22 @@ int main(int argc, char** argv) {
           : 0.0;
   const double jobs_per_sec =
       wall_seconds > 0.0 ? static_cast<double>(jobs) / wall_seconds : 0.0;
+  const double wall_cpu_ratio =
+      cpu_seconds > 0.0 ? wall_seconds / cpu_seconds : 0.0;
 
   char json[1024];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\": \"soak\", \"mode\": \"%s\", \"method\": \"%s\", "
       "\"days\": %.1f, \"jobs\": %zu, \"wall_seconds\": %.3f, "
+      "\"cpu_seconds\": %.3f, \"wall_cpu_ratio\": %.3f, "
       "\"jobs_per_sec\": %.1f, \"peak_rss_kb\": %llu, "
       "\"tco_savings_pct\": %.3f, \"hint_on_time_fraction\": %.4f, "
       "\"retrain_events\": %llu, \"counter_rows\": %llu, "
       "\"use_leads\": %s}\n",
       args.mode.c_str(), args.method.c_str(), args.days, jobs, wall_seconds,
-      jobs_per_sec, static_cast<unsigned long long>(peak_rss_kb()),
+      cpu_seconds, wall_cpu_ratio, jobs_per_sec,
+      static_cast<unsigned long long>(peak_rss_kb()),
       result.tco_savings_pct(), on_time_fraction,
       static_cast<unsigned long long>(result.retrain_events),
       static_cast<unsigned long long>(sink.rows()),

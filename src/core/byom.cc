@@ -42,45 +42,54 @@ CategoryProviderPtr make_registry_provider(
 }
 
 CategoryHints precompute_categories(const ModelRegistry& registry,
-                                    const std::vector<trace::Job>& jobs,
+                                    common::Span<const trace::Job* const> jobs,
                                     int fallback_num_categories,
                                     const features::FeatureMatrix* matrix) {
   CategoryHints hints;
   hints.reserve(jobs.size());
 
-  // Group job indices by responsible backend so each backend sees one
-  // batch. The group holds a shared_ptr: a concurrent hot-swap cannot
-  // destroy a backend this pass is still predicting with.
+  // Group jobs by responsible backend so each backend sees one batch. The
+  // group holds a shared_ptr: a concurrent hot-swap cannot destroy a
+  // backend this pass is still predicting with.
   struct Group {
     ModelBackendPtr backend;
-    std::vector<std::size_t> indices;
+    std::vector<const trace::Job*> jobs;
   };
   std::unordered_map<const ModelBackend*, Group> groups;
   const auto fallback = make_hash_provider(fallback_num_categories);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (ModelBackendPtr backend = registry.lookup(jobs[i])) {
+  for (const trace::Job* job : jobs) {
+    if (ModelBackendPtr backend = registry.lookup(*job)) {
       Group& group = groups[backend.get()];
       if (!group.backend) group.backend = std::move(backend);
-      group.indices.push_back(i);
+      group.jobs.push_back(job);
     } else {
-      hints.emplace(jobs[i].job_id, fallback->category(jobs[i]).value_or(0));
+      hints.emplace(job->job_id, fallback->category(*job).value_or(0));
     }
   }
   for (const auto& [key, group] : groups) {
     (void)key;
-    std::vector<const trace::Job*> batch;
-    batch.reserve(group.indices.size());
-    for (const std::size_t index : group.indices) {
-      batch.push_back(&jobs[index]);
-    }
     const auto categories = group.backend->predict_batch(
-        common::Span<const trace::Job* const>(batch.data(), batch.size()),
+        common::Span<const trace::Job* const>(group.jobs.data(),
+                                              group.jobs.size()),
         matrix);
-    for (std::size_t b = 0; b < group.indices.size(); ++b) {
-      hints.emplace(jobs[group.indices[b]].job_id, categories[b]);
+    for (std::size_t b = 0; b < group.jobs.size(); ++b) {
+      hints.emplace(group.jobs[b]->job_id, categories[b]);
     }
   }
   return hints;
+}
+
+CategoryHints precompute_categories(const ModelRegistry& registry,
+                                    const std::vector<trace::Job>& jobs,
+                                    int fallback_num_categories,
+                                    const features::FeatureMatrix* matrix) {
+  std::vector<const trace::Job*> pointers;
+  pointers.reserve(jobs.size());
+  for (const auto& job : jobs) pointers.push_back(&job);
+  return precompute_categories(
+      registry,
+      common::Span<const trace::Job* const>(pointers.data(), pointers.size()),
+      fallback_num_categories, matrix);
 }
 
 CategoryModel train_byom_model(const std::vector<trace::Job>& history,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/span.h"
 #include "core/category_model.h"
 #include "core/category_provider.h"
 #include "core/model_registry.h"
@@ -38,15 +39,24 @@ CategoryProviderPtr make_registry_provider(
     std::shared_ptr<const ModelRegistry> registry);
 
 // Batched hint precomputation: groups `jobs` by their responsible backend
-// and runs one ModelBackend::predict_batch per backend (the GBDT backend's
-// node-block traversal instead of one tree-walk per job). Jobs with no
-// backend get the hash fallback so the resulting table covers every job.
-// Categories are identical to per-job registry lookup. This is also the
-// batch-execution path of serving::PlacementService, which is what makes
-// served hints bit-identical to offline-batched ones. When `matrix` (the
-// trace's shared features::FeatureMatrix) is non-null, feature-driven
-// backends read its pre-extracted rows instead of re-tokenizing each job —
-// bit-identical either way.
+// and runs one ModelBackend::predict_batch per backend (for the GBDT
+// backend, the compiled flat-forest kernel over the whole group instead of
+// one tree walk per job). Jobs with no backend get the hash fallback so the
+// resulting table covers every job. Categories are identical to per-job
+// registry lookup. This is also the batch-execution path of
+// serving::PlacementService, which is what makes served hints bit-identical
+// to offline-batched ones. When `matrix` (the trace's shared
+// features::FeatureMatrix) is non-null, feature-driven backends read its
+// pre-extracted rows instead of re-tokenizing each job — bit-identical
+// either way.
+//
+// The job-pointer overload is the one implementation; callers that hold
+// jobs elsewhere (the serving batch holds them inside its requests) pass
+// pointers instead of copying. The vector overload adapts to it.
+CategoryHints precompute_categories(
+    const ModelRegistry& registry, common::Span<const trace::Job* const> jobs,
+    int fallback_num_categories,
+    const features::FeatureMatrix* matrix = nullptr);
 CategoryHints precompute_categories(
     const ModelRegistry& registry, const std::vector<trace::Job>& jobs,
     int fallback_num_categories,

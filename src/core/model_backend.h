@@ -9,7 +9,7 @@
 // Backends in this file (all trainable from the same trace::Job history, so
 // per-pipeline backend choice is a config knob):
 //   kGbdt       the paper's 15-class gradient-boosted-trees CategoryModel,
-//               adapted (node-block batched inference preserved)
+//               adapted (batched inference on the compiled flat forest)
 //   kLogistic   multinomial logistic regression over the same Table-2
 //               feature vector: cheaper to (re)train, smaller, a little less
 //               accurate — the "simple model" a small workload would bring
@@ -46,7 +46,7 @@ class ModelBackend {
   // Batched inference over a group of jobs (the serving fast path). Must be
   // bit-identical to calling predict_category per job; the default
   // implementation is exactly that loop. Backends with a cheaper batch
-  // layout (the GBDT's node-block traversal) override it.
+  // layout (the GBDT's compiled flat-forest kernel) override it.
   virtual std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs) const;
 

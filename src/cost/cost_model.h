@@ -15,9 +15,10 @@
 //                 = wearout_cost_rate_SSD * total_written_bytes     (SSD)
 //
 // All rates convert to abstract dollars. Defaults are calibrated to public
-// hardware price points (see DESIGN.md) so that the *shape* of the paper's
-// results is preserved: I/O-dense, short-lived jobs save cost on SSD, while
-// large, cold, long-lived jobs are cheaper on HDD.
+// hardware price points (README.md, "Design notes: Cost-model price
+// points") so that the *shape* of the paper's results is preserved:
+// I/O-dense, short-lived jobs save cost on SSD, while large, cold,
+// long-lived jobs are cheaper on HDD.
 #pragma once
 
 #include <cstdint>

@@ -627,8 +627,14 @@ SimResult run_method(const MethodFactory& factory, MethodId id,
                      const trace::Trace& test,
                      std::uint64_t ssd_capacity_bytes,
                      const MakeOptions& options, bool record_outcomes) {
-  const auto context =
-      factory.make_context(id, test, ssd_capacity_bytes, options);
+  return run_context(
+      factory, factory.make_context(id, test, ssd_capacity_bytes, options),
+      test, ssd_capacity_bytes, record_outcomes);
+}
+
+SimResult run_context(const MethodFactory& factory,
+                      const PolicyContext& context, const trace::Trace& test,
+                      std::uint64_t ssd_capacity_bytes, bool record_outcomes) {
   SimConfig config;
   config.ssd_capacity_bytes = ssd_capacity_bytes;
   config.rates = factory.cost_model().rates();

@@ -364,4 +364,13 @@ SimResult run_method(const MethodFactory& factory, MethodId id,
                      std::uint64_t ssd_capacity_bytes,
                      const MakeOptions& options, bool record_outcomes = false);
 
+// The simulation half of run_method: runs `test` under a context built by
+// make_context, wiring its clock, hint service and staleness schedule into
+// the engine. For callers that read the context (the hint service's
+// ServingStats, registry swaps) after the run.
+SimResult run_context(const MethodFactory& factory,
+                      const PolicyContext& context, const trace::Trace& test,
+                      std::uint64_t ssd_capacity_bytes,
+                      bool record_outcomes = false);
+
 }  // namespace byom::sim

@@ -99,16 +99,11 @@ CellResult ExperimentRunner::run_cell(const ExperimentCell& cell) const {
   out.capacity_bytes = quota_capacity(cluster.peak_bytes, cell.quota);
 
   const MakeOptions options = options_for(cell);
-  const auto context = cluster.factory->make_context(
-      cell.method, *cluster.test, out.capacity_bytes, options);
-  SimConfig config;
-  config.ssd_capacity_bytes = out.capacity_bytes;
-  config.rates = cluster.factory->cost_model().rates();
-  config.record_outcomes = cell.record_outcomes;
-  config.clock = context.clock;
-  config.hint_service = context.hint_service;
-  config.staleness = context.staleness;
-  out.result = simulate(*cluster.test, *context.policy, config);
+  out.result = run_context(
+      *cluster.factory,
+      cluster.factory->make_context(cell.method, *cluster.test,
+                                    out.capacity_bytes, options),
+      *cluster.test, out.capacity_bytes, cell.record_outcomes);
   return out;
 }
 

@@ -29,7 +29,7 @@
 // `ACT = max(N-1, ACT+1)` for low spillover and `ACT = min(1, ACT-1)` for
 // high spillover, which contradicts both the prose and the notation table
 // (ACT <= N-1). We implement the semantically consistent version described
-// in the prose (see DESIGN.md).
+// in the prose (README.md, "Design notes: Algorithm 1").
 #pragma once
 
 #include <cstdint>

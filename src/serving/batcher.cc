@@ -58,9 +58,12 @@ bool Batcher::run_once() {
 
 std::size_t Batcher::drain() {
   std::size_t total = 0;
-  for (;;) {
+  // size() is a lock-free read: an empty queue (the common case, one
+  // lookup per placement decision) returns without allocating, and a
+  // non-empty one sizes the batch to what is queued, not to max_batch.
+  while (const std::size_t queued = queue_->size()) {
     std::vector<InferenceRequest> batch;
-    batch.reserve(config_.max_batch);
+    batch.reserve(std::min(queued, config_.max_batch));
     if (queue_->pop_batch(batch, config_.max_batch,
                           std::chrono::milliseconds(0)) == 0) {
       break;

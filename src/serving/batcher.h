@@ -44,7 +44,9 @@ class Batcher {
 
   // Flushes everything queued at call time in arrival order, without
   // waiting. Returns the number of requests executed. Deterministic: the
-  // result depends only on queue contents, never on timing.
+  // result depends only on queue contents, never on timing. No allocation
+  // when empty (hotpath_test pins it): an empty queue returns 0 before any
+  // batch buffer exists, and a non-empty one reserves only what is queued.
   std::size_t drain();
 
   // Flush-trigger counters (size + deadline == batches). run_once() may be

@@ -137,8 +137,13 @@ std::size_t InferenceRequestQueue::pop_batch(
     std::vector<InferenceRequest>& out, std::size_t max_batch,
     std::chrono::milliseconds wait) {
   if (max_batch == 0) return 0;
-  // lint:allow(wall-clock) threaded-consumer timeout; virtual-time mode only
-  // ever calls with wait == 0 (drain), which returns before the wait path
+  // Virtual-time mode only ever calls with wait == 0 (Batcher::drain),
+  // which returns here, before the wait path — the same final sweep the
+  // timed-out branch below ends with. timed_waits() pins this
+  // (serving_test VirtualTime.ServedLatencyCellNeverTimedWaits).
+  if (wait <= std::chrono::milliseconds::zero()) return sweep(out, max_batch);
+  // lint:allow(wall-clock) threaded-consumer timeout; zero-wait pops
+  // returned above
   const auto deadline = std::chrono::steady_clock::now() + wait;
   for (;;) {
     const std::size_t popped = sweep(out, max_batch);
@@ -151,6 +156,10 @@ std::size_t InferenceRequestQueue::pop_batch(
       if (shutdown_.load(std::memory_order_acquire) &&
           size_.load(std::memory_order_acquire) == 0) {
         return 0;
+      }
+      if (!wake_ready()) {
+        // atomic: relaxed — telemetry counter; publishes no data
+        timed_waits_.fetch_add(1, std::memory_order_relaxed);
       }
       while (!wake_ready()) {
         if (not_empty_.wait_until(gate, deadline) == std::cv_status::timeout) {

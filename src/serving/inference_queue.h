@@ -75,6 +75,8 @@ class InferenceRequestQueue {
 
   // Appends up to `max_batch` requests to `out`, waiting up to `wait` for
   // the first one. Returns the number appended (0 on timeout/shutdown).
+  // `wait <= 0` is a pure non-blocking sweep: it never takes the idle gate
+  // or touches the condition variable.
   std::size_t pop_batch(std::vector<InferenceRequest>& out,
                         std::size_t max_batch, std::chrono::milliseconds wait);
 
@@ -90,6 +92,13 @@ class InferenceRequestQueue {
   bool shut_down() const;
 
   std::size_t size() const;
+  // Times a consumer entered the timed wait (wait_until) path of
+  // pop_batch(out, n, wait). Read-only telemetry; zero-wait pops never
+  // count, so a virtual-time service must keep it at 0.
+  std::uint64_t timed_waits() const {
+    // atomic: relaxed — telemetry counter; publishes no data
+    return timed_waits_.load(std::memory_order_relaxed);
+  }
   std::size_t capacity() const { return stripe_capacity_ * stripes_.size(); }
   std::size_t num_stripes() const { return stripes_.size(); }
   // The stripe a request with this job id lands on — exposed so tests can
@@ -121,6 +130,7 @@ class InferenceRequestQueue {
   std::atomic<std::size_t> size_{0};
   std::atomic<bool> shutdown_{false};
   std::atomic<std::size_t> cursor_{0};
+  std::atomic<std::uint64_t> timed_waits_{0};
 
   // Consumers' idle block only: producers take it for an empty critical
   // section before notifying so a consumer between its predicate check and

@@ -365,13 +365,15 @@ void PlacementService::execute_batch(Shard& shard,
   // One registry-grouped predict_batch pass — the exact code path offline
   // precomputation uses, which is what makes served hints bit-identical to
   // offline-batched hints (per-job results are independent of batch
-  // composition, so shard/stripe interleaving cannot change them).
-  std::vector<trace::Job> jobs;
+  // composition, so shard/stripe interleaving cannot change them). The
+  // jobs stay inside their requests; the pass reads them by pointer.
+  std::vector<const trace::Job*> jobs;
   jobs.reserve(batch.size());
-  for (const auto& request : batch) jobs.push_back(request.job);
+  for (const auto& request : batch) jobs.push_back(&request.job);
   const core::CategoryHints hints = core::precompute_categories(
-      *registry_, jobs, config_.fallback_num_categories,
-      config_.feature_matrix.get());
+      *registry_,
+      common::Span<const trace::Job* const>(jobs.data(), jobs.size()),
+      config_.fallback_num_categories, config_.feature_matrix.get());
 
   if (virtual_time()) {
     const double now = config_.clock->now();
@@ -450,6 +452,19 @@ void PlacementService::shutdown() {
 ServingStats PlacementService::shard_stats(std::size_t shard_index) const {
   const Shard& shard = *shards_.at(shard_index);
   ServingStats stats;
+  // Read the results-table counters before `enqueued`: a request completes
+  // only after its push, so a snapshot taken under load can then show
+  // completed > enqueued only for a request whose producer has pushed it
+  // but not yet counted it. Reading `enqueued` first let a descheduled
+  // reader see dozens more completions than enqueues.
+  {
+    common::MutexLock lock(shard.results_mutex);
+    stats.completed = shard.completed;
+    stats.wall_latency_total_ms = shard.wall_latency_total_ms;
+    stats.wall_latency_max_ms = shard.wall_latency_max_ms;
+    stats.virtual_latency_total_s = shard.virtual_latency_total_s;
+    stats.virtual_latency_max_s = shard.virtual_latency_max_s;
+  }
   // atomic: relaxed — stats counter reads; each counter is independently
   // monotonic and no cross-counter ordering is implied (exact totals need
   // the workers quiesced, which callers arrange via drain/shutdown)
@@ -462,14 +477,7 @@ ServingStats PlacementService::shard_stats(std::size_t shard_index) const {
   stats.batches = shard.batcher.batches();
   stats.size_flushes = shard.batcher.size_flushes();
   stats.deadline_flushes = shard.batcher.deadline_flushes();
-  {
-    common::MutexLock lock(shard.results_mutex);
-    stats.completed = shard.completed;
-    stats.wall_latency_total_ms = shard.wall_latency_total_ms;
-    stats.wall_latency_max_ms = shard.wall_latency_max_ms;
-    stats.virtual_latency_total_s = shard.virtual_latency_total_s;
-    stats.virtual_latency_max_s = shard.virtual_latency_max_s;
-  }
+  stats.timed_waits = shard.queue.timed_waits();
   return stats;
 }
 
@@ -487,6 +495,7 @@ ServingStats PlacementService::stats() const {
     total.batches += s.batches;
     total.size_flushes += s.size_flushes;
     total.deadline_flushes += s.deadline_flushes;
+    total.timed_waits += s.timed_waits;
     total.wall_latency_total_ms += s.wall_latency_total_ms;
     total.wall_latency_max_ms =
         std::max(total.wall_latency_max_ms, s.wall_latency_max_ms);

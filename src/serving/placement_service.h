@@ -155,6 +155,10 @@ struct ServingStats {
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
   std::uint64_t deadline_flushes = 0;
+  // Consumer entries into the request queues' timed wait
+  // (InferenceRequestQueue::timed_waits). Only threaded workers wait;
+  // deterministic and virtual-time modes must keep it at 0.
+  std::uint64_t timed_waits = 0;
   // Latency accounting is mode-tagged — the two modes measure different
   // clocks in different units and must never share a counter:
   //   * threaded / plain deterministic mode: wall-clock enqueue -> publish,

@@ -2,7 +2,8 @@
 // zero-allocation feature pipeline:
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
-//     FeatureExtractor::extract_into and SimClock::schedule_typed;
+//     FeatureExtractor::extract_into, SimClock::schedule_typed, an empty
+//     Batcher::drain and a published-hint PlacementService::wait_for;
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -22,6 +23,9 @@
 #include "features/feature_extractor.h"
 #include "features/feature_matrix.h"
 #include "harness/experiment.h"
+#include "serving/batcher.h"
+#include "serving/inference_queue.h"
+#include "serving/placement_service.h"
 #include "sim/sim_clock.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
@@ -244,6 +248,51 @@ TEST(AllocationGuard, GeneratedStreamInChunkNextIsAllocationFree) {
   EXPECT_EQ(allocations(), before)
       << "GeneratedStream::next allocated inside a chunk";
   EXPECT_EQ(consumed, stream.chunk_jobs() - 1);
+}
+
+TEST(AllocationGuard, EmptyBatcherDrainIsAllocationFree) {
+  // The virtual-time serving path drains at every placement decision, and
+  // almost every drain finds the queue empty: that must cost no heap.
+  serving::InferenceRequestQueue queue(64);
+  std::size_t executed = 0;
+  serving::Batcher batcher(
+      &queue, serving::BatcherConfig{},
+      [&](std::vector<serving::InferenceRequest>&& batch) {
+        executed += batch.size();
+      });
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(batcher.drain(), 0u);
+  EXPECT_EQ(allocations(), before) << "Batcher::drain allocated when empty";
+  EXPECT_EQ(executed, 0u);
+}
+
+TEST(AllocationGuard, PublishedHintLookupIsAllocationFree) {
+  // A consumer lookup that hits an already-published hint is a table read:
+  // no drain, no batch, no allocation — in plain deterministic mode and in
+  // virtual-time mode alike.
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(core::train_backend(
+      core::BackendKind::kFrequency, split().train.jobs(),
+      small_backend_config()));
+  const auto& jobs = split().test.jobs();
+  ASSERT_GE(jobs.size(), 16u);
+  for (const bool virtual_time : {false, true}) {
+    SCOPED_TRACE(virtual_time ? "virtual time" : "deterministic");
+    serving::PlacementServiceConfig service_config;
+    service_config.num_threads = 0;
+    service_config.fallback_num_categories = 6;
+    if (virtual_time) service_config.clock = std::make_shared<sim::SimClock>();
+    serving::PlacementService service(registry, service_config);
+    for (std::size_t i = 0; i < 16; ++i) ASSERT_TRUE(service.enqueue(jobs[i]));
+    ASSERT_TRUE(service.wait_for(jobs[0]).has_value());  // drains, publishes
+
+    const std::uint64_t before = allocations();
+    for (std::size_t i = 0; i < 16; ++i) {
+      EXPECT_TRUE(service.wait_for(jobs[i]).has_value());
+    }
+    EXPECT_EQ(allocations(), before)
+        << "wait_for allocated on a published-hint hit";
+  }
 }
 
 // ---------------------------------------------------- typed event engine

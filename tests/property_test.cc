@@ -34,7 +34,8 @@ trace::Trace shared_trace() {
 // ------------------------------------------------ archetype cost properties
 
 // Every archetype must generate jobs whose mean TCO-saving sign matches its
-// intended SSD/HDD suitability (DESIGN.md workload inventory).
+// intended SSD/HDD suitability (README.md, "Design notes: Workload
+// inventory").
 class ArchetypeSuitability
     : public ::testing::TestWithParam<trace::ArchetypeId> {};
 

@@ -8,12 +8,15 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/byom.h"
 #include "core/model_backend.h"
 #include "core/model_registry.h"
+#include "features/feature_extractor.h"
+#include "features/feature_matrix.h"
 #include "harness/experiment.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
@@ -152,6 +155,55 @@ TEST(PrecomputeParity, MixedFleetGroupsPerBackend) {
     const auto& expected =
         job.pipeline_name == pipe_a ? f.backends[2] : f.backends[0];
     EXPECT_EQ(hints.at(job.job_id), expected->predict_category(job));
+  }
+}
+
+// The job-pointer overload is the one implementation; the vector overload
+// must adapt to it exactly. Covers a default backend with one per-pipeline
+// override of every kind, an override-only registry whose other jobs take
+// the hash fallback, and both with and without a shared FeatureMatrix. The
+// pointers are passed in reverse order: the table is keyed by job id, so
+// batch order must not matter.
+TEST(PrecomputeParity, PointerEntryPointMatchesVectorOverload) {
+  auto& f = fixture();
+  const auto& jobs = f.split.test.jobs();
+  const std::vector<std::string> pipelines =
+      trace::distinct_pipelines(f.split.test);
+  ASSERT_GE(pipelines.size(), kAllKinds.size() + 1);
+
+  auto with_default = std::make_shared<ShardedModelRegistry>();
+  with_default->set_default_model(f.backends[0]);
+  auto overrides_only = std::make_shared<ShardedModelRegistry>();
+  for (std::size_t k = 0; k < kAllKinds.size(); ++k) {
+    with_default->register_model(pipelines[k], f.backends[k]);
+    overrides_only->register_model(pipelines[k], f.backends[k]);
+  }
+
+  std::vector<const trace::Job*> pointers;
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+    pointers.push_back(&*it);
+  }
+  const common::Span<const trace::Job* const> span(pointers.data(),
+                                                   pointers.size());
+  const features::FeatureMatrix matrix(features::FeatureExtractor{}, jobs);
+
+  std::size_t fallback_jobs = 0;
+  for (const auto& job : jobs) {
+    if (!overrides_only->lookup(job)) ++fallback_jobs;
+  }
+  EXPECT_GT(fallback_jobs, 0u);
+
+  for (const ShardedModelRegistry* registry :
+       {with_default.get(), overrides_only.get()}) {
+    for (const features::FeatureMatrix* m :
+         {static_cast<const features::FeatureMatrix*>(nullptr), &matrix}) {
+      SCOPED_TRACE(registry == with_default.get() ? "default" : "no default");
+      SCOPED_TRACE(m != nullptr ? "matrix" : "no matrix");
+      const auto by_vector = precompute_categories(*registry, jobs, 8, m);
+      const auto by_pointer = precompute_categories(*registry, span, 8, m);
+      ASSERT_EQ(by_pointer.size(), jobs.size());
+      EXPECT_EQ(by_pointer, by_vector);
+    }
   }
 }
 

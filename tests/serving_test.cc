@@ -110,6 +110,8 @@ TEST(InferenceQueue, PopBatchTakesUpToMax) {
     EXPECT_EQ(out[id - 1].job.job_id, id);
   }
   EXPECT_EQ(queue.pop_batch(out, 3, milliseconds(0)), 0u);
+  // Zero-wait pops, empty or not, never enter the timed condvar wait.
+  EXPECT_EQ(queue.timed_waits(), 0u);
 }
 
 TEST(InferenceQueue, ShutdownRejectsPushesAndDrainsRemainder) {
@@ -740,6 +742,68 @@ TEST(VirtualTime, ZeroLatencyMatchesPlainDeterministicHints) {
   const auto stats = virt.stats();
   EXPECT_EQ(stats.on_time, jobs.size());
   EXPECT_EQ(stats.late, 0u);
+}
+
+// Every job's served hint at zero latency is the offline batched hint,
+// whether the batcher flushes one request at a time or 256.
+TEST(VirtualTime, ZeroLatencyHintsMatchPrecomputeAtAnyBatchSize) {
+  auto& f = fixture();
+  const auto& jobs = f.split.test.jobs();
+  const auto expected = core::precompute_categories(
+      *f.registry, jobs, f.model->num_categories());
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE(max_batch);
+    auto config = f.deterministic_config();
+    config.max_batch = max_batch;
+    config.clock = std::make_shared<sim::SimClock>();
+    config.latency_model = make_zero_latency_model();
+    PlacementService service(f.registry, config);
+    ASSERT_EQ(service.enqueue_all(jobs), jobs.size());
+    for (const auto& job : jobs) {
+      const auto hint = service.wait_for(job);
+      ASSERT_TRUE(hint.has_value()) << job.job_id;
+      EXPECT_EQ(*hint, expected.at(job.job_id)) << job.job_id;
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.on_time, jobs.size());
+    EXPECT_EQ(stats.batches, (jobs.size() + max_batch - 1) / max_batch);
+    EXPECT_EQ(stats.timed_waits, 0u);
+  }
+}
+
+// Regression for the virtual-time condvar wait: a latency-aware served cell
+// with daily retrains drains the service queue at every placement decision,
+// and each drain is a zero-wait pop, so the queue never enters its timed
+// wait (which cost one futex sleep per job).
+TEST(VirtualTime, ServedLatencyCellNeverTimedWaits) {
+  auto& f = fixture();
+  sim::MethodFactory factory(f.split.train, cost::Rates{},
+                             small_model_config());
+  sim::MakeOptions options;
+  options.hint_latency = 0.25;
+  options.retrain_period = 86400.0;
+  const auto& test = f.split.test;
+  const auto capacity = sim::quota_capacity(test, 0.05);
+  const auto context = factory.make_context(
+      sim::MethodId::kAdaptiveServedLatency, test, capacity, options);
+  ASSERT_NE(context.hint_service, nullptr);
+  const auto result = sim::run_context(factory, context, test, capacity);
+
+  // run_context is run_method's simulation half: the same cell replays to
+  // the same result.
+  const auto reference = sim::run_method(
+      factory, sim::MethodId::kAdaptiveServedLatency, test, capacity,
+      options);
+  EXPECT_EQ(result.tco_actual, reference.tco_actual);
+  EXPECT_EQ(result.jobs_scheduled_ssd, reference.jobs_scheduled_ssd);
+  EXPECT_EQ(result.hints_on_time, reference.hints_on_time);
+  EXPECT_EQ(result.hints_late, reference.hints_late);
+  EXPECT_GT(result.retrain_events, 0u);
+
+  const ServingStats stats = context.hint_service->stats();
+  EXPECT_EQ(stats.enqueued, test.size());
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.timed_waits, 0u);
 }
 
 TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {

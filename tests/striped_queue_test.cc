@@ -243,5 +243,33 @@ TEST(StripedQueue, TimedPopTimesOutOnEmptyQueue) {
   EXPECT_LT(elapsed, 5.0) << "timed pop did not time out";
 }
 
+// Zero-wait pops (Batcher::drain, the virtual-time path) are a pure sweep:
+// they never enter the timed condvar wait, empty queue or not.
+TEST(StripedQueue, ZeroWaitPopNeverEntersTimedWait) {
+  InferenceRequestQueue queue(16, 4);
+  std::vector<InferenceRequest> out;
+  EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 0u);
+  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  EXPECT_EQ(queue.timed_waits(), 0u);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(queue.try_push(request_for(id)));
+  }
+  EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 3u);
+  EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 0u);
+  EXPECT_EQ(queue.timed_waits(), 0u);
+}
+
+// The counter is live: a threaded consumer's timed pop on an empty queue
+// enters the wait exactly once and still blocks until its deadline.
+TEST(StripedQueue, TimedPopOnEmptyQueueCountsOneTimedWait) {
+  InferenceRequestQueue queue(16, 4);
+  std::vector<InferenceRequest> out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(5)), 0u);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, milliseconds(5));
+  EXPECT_EQ(queue.timed_waits(), 1u);
+}
+
 }  // namespace
 }  // namespace byom::serving

@@ -25,9 +25,11 @@ across hardware; raw ns timings are not — those only emit GitHub
 
 --soak ingests the JSON summaries bench_soak writes (one run per mode) and
 adds the long-horizon memory story to the committed summary: per-mode peak
-RSS and jobs/sec, plus the derived soak_peak_rss_ratio (streamed peak RSS
-over materialized — the tentpole O(window)-vs-O(trace) claim, lower is
-better).
+RSS, jobs/sec and wall/CPU, plus two derived ratios: soak_peak_rss_ratio
+(streamed peak RSS over materialized — the O(window)-vs-O(trace) claim,
+lower is better) and soak_wall_cpu_ratio (the stream-mode run's wall time
+over its process CPU time; the replay is deterministic and single-threaded,
+so anything well above 1.0 means it sleeps).
 """
 
 import argparse
@@ -107,8 +109,9 @@ RATIOS = [
 # relative drift: the numerator (streamed peak RSS) is small and dominated
 # by the process's fixed baseline, so host-to-host baseline differences move
 # the ratio by factors that a drift threshold sized for timing ratios would
-# misread as regressions.
-SOAK_RATIOS = {"soak_peak_rss_ratio": "lower"}
+# misread as regressions. The wall/CPU ratio is already an absolute
+# contract (a single-threaded replay must not sleep), so it gets a bound too.
+SOAK_RATIOS = {"soak_peak_rss_ratio": "lower", "soak_wall_cpu_ratio": "lower"}
 
 # Absolute acceptance bars, checked against the *fresh* run during
 # --compare (relative drift from the baseline is checked separately): a
@@ -122,12 +125,16 @@ ABSOLUTE_BOUNDS = {
     # 20x horizon); the bound leaves room for runner base-RSS differences
     # while still catching any O(trace) reversion (which pushes it to ~1).
     "soak_peak_rss_ratio": ("max", 0.25),
+    # The deterministic served soak must stay on CPU: one timed condvar
+    # wait per job once put it at ~4-5x (wall time spent asleep).
+    "soak_wall_cpu_ratio": ("max", 1.10),
 }
 
 # Fields of a bench_soak JSON summary worth committing per mode.
 SOAK_FIELDS = [
-    "days", "jobs", "jobs_per_sec", "peak_rss_kb", "tco_savings_pct",
-    "hint_on_time_fraction", "retrain_events", "counter_rows",
+    "days", "jobs", "jobs_per_sec", "cpu_seconds", "wall_cpu_ratio",
+    "peak_rss_kb", "tco_savings_pct", "hint_on_time_fraction",
+    "retrain_events", "counter_rows",
 ]
 
 # Per-benchmark user counters worth keeping in the committed summary.
@@ -213,6 +220,9 @@ def ingest_soak(summary, stream_path, materialized_path):
     if mat_rss > 0.0:
         summary["derived"]["soak_peak_rss_ratio"] = round(
             stream_rss / mat_rss, 3)
+    if "wall_cpu_ratio" in modes["stream"]:
+        summary["derived"]["soak_wall_cpu_ratio"] = round(
+            float(modes["stream"]["wall_cpu_ratio"]), 3)
 
 
 def compare(fresh, baseline, ratio_threshold, timing_threshold):
@@ -291,7 +301,7 @@ def main(argv):
     parser.add_argument(
         "--soak", nargs=2, metavar=("STREAM_JSON", "MATERIALIZED_JSON"),
         help="bench_soak JSON summaries (one per mode) to fold into the "
-             "summary; derives soak_peak_rss_ratio")
+             "summary; derives soak_peak_rss_ratio and soak_wall_cpu_ratio")
     parser.add_argument(
         "--compare", metavar="BASELINE_JSON",
         help="committed summary to gate against; derived-ratio regressions "

@@ -41,20 +41,13 @@ BenchCluster make_bench_cluster(std::uint32_t cluster_id, int num_pipelines,
 }
 
 PrecomputedCategories::PrecomputedCategories(const core::CategoryModel& model,
-                                             const trace::Trace& test,
-                                             bool use_true_category) {
+                                             const trace::Trace& test) {
   const auto& jobs = test.jobs();
   auto map = std::make_shared<policy::CategoryHints>();
   map->reserve(jobs.size());
-  if (use_true_category) {
-    for (const auto& job : jobs) {
-      map->emplace(job.job_id, model.true_category(job));
-    }
-  } else {
-    const auto categories = model.predict_categories(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      map->emplace(jobs[i].job_id, categories[i]);
-    }
+  const auto categories = model.predict_categories(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    map->emplace(jobs[i].job_id, categories[i]);
   }
   hints_ = std::move(map);
 }

@@ -36,19 +36,16 @@ BenchCluster make_bench_cluster(std::uint32_t cluster_id,
 // depth <= 6).
 core::CategoryModelConfig bench_model_config(int categories = 15);
 
-// Precomputed per-job categories: one batched inference pass
-// (CategoryModel::predict_batch) shared by every simulation of a sweep.
+// Precomputed per-job categories for benches that build policies outside
+// MethodFactory: one batched inference pass (CategoryModel::predict_batch)
+// shared by every simulation of a sweep.
 class PrecomputedCategories {
  public:
   PrecomputedCategories(const core::CategoryModel& model,
-                        const trace::Trace& test, bool use_true_category);
+                        const trace::Trace& test);
 
   // The hint table as a CategoryProvider (declines outside the table).
   core::CategoryProviderPtr provider() const;
-  // Hint table for MethodFactory::set_predicted_hints / set_true_hints.
-  std::shared_ptr<const policy::CategoryHints> hints() const {
-    return hints_;
-  }
 
  private:
   std::shared_ptr<const policy::CategoryHints> hints_;

@@ -28,12 +28,6 @@ int main() {
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
 
-  // Train once and run one batched inference pass; every AdaptiveRanking
-  // cell consumes the same hint table.
-  const bench::PrecomputedCategories predicted(factory.category_model(), test,
-                                               false);
-  factory.set_predicted_hints(predicted.hints());
-
   const std::vector<sim::MethodId> methods = {
       sim::MethodId::kAdaptiveRanking, sim::MethodId::kAdaptiveHash,
       sim::MethodId::kMlBaseline,      sim::MethodId::kFirstFit,

@@ -4,9 +4,9 @@
 // diminishing returns; the category design and the adaptive algorithm are
 // what matter.
 //
-// Both series run through the parallel ExperimentRunner: one batched
-// inference pass (predicted) and one labeling pass (truth) feed every cell
-// via the factory's hint tables.
+// Both series run through the parallel ExperimentRunner: each
+// AdaptiveRanking cell runs one registry-batched inference pass, each
+// TrueCategory cell labels its jobs from the trace.
 #include <algorithm>
 #include <cstdio>
 
@@ -28,11 +28,6 @@ int main() {
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
   const auto& model = factory.category_model();
-
-  const bench::PrecomputedCategories predicted(model, test, false);
-  const bench::PrecomputedCategories truth(model, test, true);
-  factory.set_predicted_hints(predicted.hints());
-  factory.set_true_hints(truth.hints());
 
   std::printf("# model top-1 accuracy on test week: %.3f\n",
               model.top1_accuracy(test.jobs()));

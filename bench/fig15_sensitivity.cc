@@ -27,9 +27,6 @@ int main() {
   auto cluster = bench::make_bench_cluster(0);
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
-  const bench::PrecomputedCategories predicted(factory.category_model(), test,
-                                               false);
-  factory.set_predicted_hints(predicted.hints());
 
   sim::ExperimentRunner runner;
   const auto cluster_index = runner.add_cluster(&factory, &test);

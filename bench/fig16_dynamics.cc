@@ -21,7 +21,7 @@ int main() {
   const auto cluster = bench::make_bench_cluster(0);
   const auto& test = cluster.split.test;
   const bench::PrecomputedCategories predicted(
-      cluster.factory->category_model(), test, false);
+      cluster.factory->category_model(), test);
 
   std::printf("quota,hour,act,spillover_pct\n");
   std::printf("# summary below: quota,mean_act,mean_spillover\n");

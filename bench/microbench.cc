@@ -27,14 +27,6 @@ namespace {
 
 struct Fixture {
   bench::BenchCluster cluster = bench::make_bench_cluster(0, 14, 6.0);
-
-  Fixture() {
-    // Mirror fig07: train once, one batched inference pass shared by every
-    // AdaptiveRanking cell that the sweep benches build.
-    const bench::PrecomputedCategories predicted(
-        cluster.factory->category_model(), cluster.split.test, false);
-    cluster.factory->set_predicted_hints(predicted.hints());
-  }
 };
 
 Fixture& fixture() {
@@ -480,7 +472,7 @@ void BM_ServedHintLatency(benchmark::State& state) {
     service.enqueue_all(jobs);
     int acc = 0;
     for (const auto& job : jobs) {
-      acc += service.wait_for(job.job_id).value_or(0);
+      acc += service.wait_for(job).value_or(0);
     }
     benchmark::DoNotOptimize(acc);
   }

@@ -37,7 +37,7 @@ int main() {
     const auto model =
         core::CategoryModel::train(split.train.jobs(),
                                    bench::bench_model_config(n));
-    const bench::PrecomputedCategories predicted(model, split.test, false);
+    const bench::PrecomputedCategories predicted(model, split.test);
     policy::AdaptiveConfig acfg;
     acfg.num_categories = n;
     auto policy = bench::make_precomputed_ranking(predicted, acfg);

@@ -14,14 +14,23 @@
 // Provider hierarchy:
 //   make_hash_provider         uniform hash onto [1, N-1]; never declines
 //   make_model_provider        synchronous CategoryModel inference
-//                              (predicted or ground-truth labels)
+//                              (predicted or ground-truth labels); the
+//                              per-job reference for the batched paths
 //   make_precomputed_provider  lookup into a batched-inference hint table
+//   SwappableHintsProvider     the same, swapped per streaming window
 //   make_function_provider     adapter for ad-hoc closures
 //   make_fallback_chain        first provider with an opinion wins
 //   make_noisy_provider        decorator flipping a seeded fraction of
 //                              hints (noisy-hint sensitivity studies)
+//   core::make_registry_provider  synchronous per-job registry inference
+//                              (core/byom.h)
 //   serving::make_served_provider  async hints from a PlacementService
 //                              (see serving/placement_service.h)
+//
+// The harness's model-backed cells all resolve models through one
+// ModelRegistry: a registry-batched hint table (core::precompute_categories)
+// or a served one, each backed by make_registry_provider for jobs outside
+// the table.
 #pragma once
 
 #include <cstdint>

@@ -38,6 +38,39 @@ std::uint64_t quota_capacity(std::uint64_t peak_bytes, double quota_fraction) {
                                     quota_fraction);
 }
 
+namespace {
+
+// The serving config every served cell starts from: deterministic mode
+// (no worker threads), one lane, batches of up to 256 requests.
+serving::PlacementServiceConfig served_config(std::size_t queue_capacity,
+                                              features::FeatureMatrixPtr matrix,
+                                              int num_categories) {
+  serving::PlacementServiceConfig config;
+  config.num_threads = 0;
+  config.queue_capacity = queue_capacity;
+  config.max_batch = 256;
+  config.fallback_num_categories = num_categories;
+  config.feature_matrix = std::move(matrix);
+  return config;
+}
+
+// The last step of every adaptive cell: the optional seeded hint-noise
+// decorator around the provider chain, then Algorithm 1 over it.
+std::unique_ptr<policy::PlacementPolicy> adaptive_policy(
+    MethodId id, core::CategoryProviderPtr provider,
+    const policy::AdaptiveConfig& adaptive, const MakeOptions& options) {
+  if (options.hint_noise > 0.0) {
+    provider = core::make_noisy_provider(std::move(provider),
+                                         options.hint_noise,
+                                         options.noise_seed,
+                                         adaptive.num_categories);
+  }
+  return std::make_unique<policy::AdaptiveCategoryPolicy>(
+      method_name(id), std::move(provider), adaptive);
+}
+
+}  // namespace
+
 MethodFactory::MethodFactory(trace::Trace train, cost::Rates rates,
                              core::CategoryModelConfig model_config,
                              policy::AdaptiveConfig adaptive_config)
@@ -112,7 +145,6 @@ void MethodFactory::warm(MethodId id, const MakeOptions& options) const {
       for (const auto& [pipeline, kind] : options.pipeline_backends) {
         pipeline_backend(kind, pipeline);
       }
-      if (!uses_custom_backends(options)) warm(id);
       break;
     default:
       warm(id);
@@ -120,25 +152,12 @@ void MethodFactory::warm(MethodId id, const MakeOptions& options) const {
   }
 }
 
-bool MethodFactory::uses_custom_backends(const MakeOptions& options) {
-  return options.backend != core::BackendKind::kGbdt ||
-         !options.pipeline_backends.empty();
-}
-
-bool MethodFactory::method_uses_feature_matrix(MethodId id,
-                                               const MakeOptions& options) {
-  switch (id) {
-    case MethodId::kAdaptiveServed:
-    case MethodId::kAdaptiveServedLatency:
-      // Both serving paths hand the matrix to PlacementService.
-      return true;
-    case MethodId::kAdaptiveRanking:
-      // Only the registry-routed (custom-backend) chain precomputes hints
-      // through the matrix; the default chain uses the shared GBDT table.
-      return uses_custom_backends(options);
-    default:
-      return false;
-  }
+bool MethodFactory::method_uses_feature_matrix(MethodId id) {
+  // AdaptiveRanking precomputes its hints through the matrix; both serving
+  // paths hand it to PlacementService.
+  return id == MethodId::kAdaptiveRanking ||
+         id == MethodId::kAdaptiveServed ||
+         id == MethodId::kAdaptiveServedLatency;
 }
 
 core::BackendConfig MethodFactory::backend_config() const {
@@ -285,118 +304,54 @@ core::ModelBackendPtr MethodFactory::retrained_backend(
       backend_config());
 }
 
-void MethodFactory::set_predicted_hints(
-    std::shared_ptr<const policy::CategoryHints> hints) {
-  predicted_hints_ = std::move(hints);
-}
-
-void MethodFactory::set_true_hints(
-    std::shared_ptr<const policy::CategoryHints> hints) {
-  true_hints_ = std::move(hints);
-}
-
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test,
-    std::uint64_t ssd_capacity_bytes) const {
-  return make(id, test, ssd_capacity_bytes, MakeOptions{});
-}
-
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-    const policy::AdaptiveConfig& adaptive) const {
-  MakeOptions options;
-  options.adaptive = adaptive;
-  return make(id, test, ssd_capacity_bytes, options);
-}
-
-core::CategoryProviderPtr MethodFactory::make_provider(
-    MethodId id, const trace::Trace& test,
-    const policy::AdaptiveConfig& adaptive,
-    const MakeOptions& options) const {
-  switch (id) {
-    case MethodId::kAdaptiveHash:
-      return core::make_hash_provider(adaptive.num_categories);
-    case MethodId::kAdaptiveRanking: {
-      if (uses_custom_backends(options)) {
-        // A non-default backend mix routes through the registry; the
-        // shared GBDT hint table below does not describe these backends.
-        // One registry-grouped batched pass covers the known test jobs
-        // (bit-identical to per-job lookup by precompute_categories'
-        // contract); the sync registry provider answers any job outside
-        // the table.
-        auto registry = make_registry(options);
-        auto hints = std::make_shared<const core::CategoryHints>(
-            core::precompute_categories(*registry, test.jobs(),
-                                        adaptive.num_categories,
-                                        feature_matrix(test).get()));
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(std::move(hints),
-                                             "registry-batched"),
-             core::make_registry_provider(std::move(registry))});
-      }
-      // Share the trained model with the provider: the policy stays valid
-      // independently of this factory's lifetime, without copying the
-      // forest per cell.
-      auto model = core::make_model_provider(shared_category_model());
-      if (predicted_hints_) {
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(predicted_hints_, "predicted"),
-             std::move(model)});
-      }
-      return model;
+void StreamingCell::prepare_window(
+    const std::vector<trace::Job>& jobs,
+    const features::FeatureMatrix* matrix) const {
+  if (window_hints) {
+    features::FeatureMatrixPtr extracted;
+    if (matrix == nullptr) {
+      extracted =
+          features::make_feature_matrix(features::FeatureExtractor{}, jobs);
+      matrix = extracted.get();
     }
-    case MethodId::kTrueCategory: {
-      auto model = core::make_model_provider(shared_category_model(),
-                                             /*use_true_category=*/true);
-      if (true_hints_) {
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(true_hints_, "true"),
-             std::move(model)});
-      }
-      return model;
-    }
-    case MethodId::kAdaptiveServed: {
-      // The online serving loop in deterministic single-thread mode: the
-      // test trace's requests stream through the bounded queue and the
-      // batcher; the policy consumes hints through the served provider.
-      // Deterministic mode keeps cells bit-reproducible inside parallel
-      // sweeps (and is why served results match offline-batched ones).
-      auto registry = make_registry(options);
-      serving::PlacementServiceConfig config;
-      config.num_threads = 0;  // deterministic mode
-      config.queue_capacity = std::max<std::size_t>(1024, test.size());
-      config.max_batch = 256;
-      config.fallback_num_categories = adaptive.num_categories;
-      config.feature_matrix = feature_matrix(test);
-      auto service = std::make_shared<serving::PlacementService>(
-          registry, config);
-      service->enqueue_all(test.jobs());
-      // Sync registry inference backstops requests the service dropped.
-      return core::make_fallback_chain(
-          {serving::make_served_provider(std::move(service)),
-           core::make_registry_provider(std::move(registry))});
-    }
-    default:
-      throw std::invalid_argument(
-          "MethodFactory::make_provider: not an adaptive method");
+    window_hints->set_hints(std::make_shared<const core::CategoryHints>(
+        core::precompute_categories(*registry, jobs, num_categories, matrix)));
   }
+  if (window_enqueue) window_enqueue->enqueue_all(jobs);
 }
 
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-    const MakeOptions& options) const {
-  return make_context(id, test, ssd_capacity_bytes, options).policy;
+StreamingCell MethodFactory::make_window_cell(
+    MethodId id, std::size_t queue_capacity, features::FeatureMatrixPtr matrix,
+    const policy::AdaptiveConfig& adaptive, const MakeOptions& options) const {
+  StreamingCell cell;
+  cell.registry = make_registry(options);
+  core::CategoryProviderPtr hints;
+  if (id == MethodId::kAdaptiveRanking) {
+    cell.window_hints =
+        std::make_shared<core::SwappableHintsProvider>("registry-batched");
+    cell.num_categories = adaptive.num_categories;
+    hints = cell.window_hints;
+  } else {
+    // The online serving loop in deterministic single-thread mode: lookups
+    // drain the queue synchronously, which keeps cells bit-reproducible
+    // inside parallel sweeps (and is why served results match
+    // offline-batched ones).
+    cell.window_enqueue = std::make_shared<serving::PlacementService>(
+        cell.registry, served_config(queue_capacity, std::move(matrix),
+                                     adaptive.num_categories));
+    hints = serving::make_served_provider(cell.window_enqueue);
+  }
+  // Sync registry inference answers jobs outside the window (and requests
+  // the service dropped).
+  cell.context.policy = adaptive_policy(
+      id,
+      core::make_fallback_chain(
+          {std::move(hints), core::make_registry_provider(cell.registry)}),
+      adaptive, options);
+  return cell;
 }
 
 PolicyContext MethodFactory::make_served_latency_context(
-    const trace::Trace& test, const policy::AdaptiveConfig& adaptive,
-    const MakeOptions& options) const {
-  return make_served_latency_context_impl(
-      test.start_time(), std::max<std::size_t>(1024, test.size()),
-      feature_matrix(test), adaptive, options);
-}
-
-PolicyContext MethodFactory::make_served_latency_context_impl(
     double epoch_start, std::size_t queue_capacity,
     features::FeatureMatrixPtr matrix, const policy::AdaptiveConfig& adaptive,
     const MakeOptions& options) const {
@@ -408,12 +363,8 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
   // tests) can hot-swap it while the service reads from it.
   context.registry = make_registry(options);
 
-  serving::PlacementServiceConfig config;
-  config.num_threads = 0;  // virtual-time mode is deterministic mode
-  config.queue_capacity = queue_capacity;
-  config.max_batch = 256;
-  config.fallback_num_categories = adaptive.num_categories;
-  config.feature_matrix = std::move(matrix);
+  serving::PlacementServiceConfig config = served_config(
+      queue_capacity, std::move(matrix), adaptive.num_categories);
   config.clock = context.clock;
   config.latency_model =
       options.hint_latency > 0.0
@@ -422,8 +373,6 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
                 options.noise_seed ^ 0xA5A5A5A55A5A5A5AULL)
           : serving::make_zero_latency_model();
   config.virtual_request_deadline = options.hint_deadline;
-  // Unconsumed requests flush within one consumer deadline of submission.
-  config.virtual_flush_deadline = std::max(options.hint_deadline, 1e-3);
   context.hint_service = std::make_shared<serving::PlacementService>(
       context.registry, config);
   // NOTE: no enqueue_all here — the event engine submits each request at
@@ -466,15 +415,8 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
         [clock = context.clock] { return clock->now(); });
   }
 
-  if (options.hint_noise > 0.0) {
-    provider = core::make_noisy_provider(std::move(provider),
-                                         options.hint_noise,
-                                         options.noise_seed,
-                                         adaptive.num_categories);
-  }
-  context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-      method_name(MethodId::kAdaptiveServedLatency), std::move(provider),
-      adaptive);
+  context.policy = adaptive_policy(MethodId::kAdaptiveServedLatency,
+                                   std::move(provider), adaptive, options);
   return context;
 }
 
@@ -501,22 +443,36 @@ PolicyContext MethodFactory::make_context(MethodId id,
           *ml_baseline_);
       return context;
     case MethodId::kAdaptiveHash:
-    case MethodId::kAdaptiveRanking:
+      context.policy = adaptive_policy(
+          id, core::make_hash_provider(adaptive.num_categories), adaptive,
+          options);
+      return context;
     case MethodId::kTrueCategory:
+      // Share the trained model with the provider: the policy stays valid
+      // independently of this factory's lifetime, without copying the
+      // forest per cell.
+      context.policy = adaptive_policy(
+          id,
+          core::make_model_provider(shared_category_model(),
+                                    /*use_true_category=*/true),
+          adaptive, options);
+      return context;
+    case MethodId::kAdaptiveRanking:
     case MethodId::kAdaptiveServed: {
-      auto provider = make_provider(id, test, adaptive, options);
-      if (options.hint_noise > 0.0) {
-        provider =
-            core::make_noisy_provider(std::move(provider), options.hint_noise,
-                                      options.noise_seed,
-                                      adaptive.num_categories);
-      }
-      context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
+      // One window covering the whole test trace, read through its shared
+      // feature matrix.
+      const auto matrix = feature_matrix(test);
+      StreamingCell cell = make_window_cell(
+          id, std::max<std::size_t>(1024, test.size()), matrix, adaptive,
+          options);
+      cell.prepare_window(test.jobs(), matrix.get());
+      context.policy = std::move(cell.context.policy);
       return context;
     }
     case MethodId::kAdaptiveServedLatency:
-      return make_served_latency_context(test, adaptive, options);
+      return make_served_latency_context(
+          test.start_time(), std::max<std::size_t>(1024, test.size()),
+          feature_matrix(test), adaptive, options);
     case MethodId::kOracleTco: {
       const auto solution = oracle::solve_greedy(
           test.jobs(), ssd_capacity_bytes, oracle::Objective::kTco,
@@ -552,65 +508,20 @@ StreamingCell MethodFactory::make_streaming_cell(
       // trace. The driver materializes and runs the regular cell.
       cell.needs_materialized = true;
       return cell;
-    case MethodId::kAdaptiveRanking: {
-      if (!uses_custom_backends(options)) break;  // per-job model inference
-      // The windowed equivalent of the registry-batched hint table: the
-      // driver precomputes each chunk through cell.registry and swaps the
-      // table into cell.window_hints; the sync registry provider answers
-      // any job outside the current window. Chunked precompute is
-      // bit-identical to the whole-trace table (batch-composition
-      // independence of precompute_categories).
-      cell.registry = make_registry(options);
-      cell.window_hints = std::make_shared<core::SwappableHintsProvider>(
-          "registry-windowed");
-      cell.num_categories = adaptive.num_categories;
-      core::CategoryProviderPtr provider = core::make_fallback_chain(
-          {cell.window_hints, core::make_registry_provider(cell.registry)});
-      if (options.hint_noise > 0.0) {
-        provider = core::make_noisy_provider(std::move(provider),
-                                             options.hint_noise,
-                                             options.noise_seed,
-                                             adaptive.num_categories);
-      }
-      cell.context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
-      return cell;
-    }
-    case MethodId::kAdaptiveServed: {
-      // The offline serving loop fed chunk by chunk instead of one
-      // enqueue_all over the test trace. No shared feature matrix: the
-      // service extracts per job (bit-identical by the fallback contract);
-      // the queue is sized so a full window always fits.
-      auto registry = make_registry(options);
-      serving::PlacementServiceConfig config;
-      config.num_threads = 0;  // deterministic mode
-      config.queue_capacity = queue_capacity;
-      config.max_batch = 256;
-      config.fallback_num_categories = adaptive.num_categories;
-      cell.window_enqueue = std::make_shared<serving::PlacementService>(
-          registry, config);
-      core::CategoryProviderPtr provider = core::make_fallback_chain(
-          {serving::make_served_provider(cell.window_enqueue),
-           core::make_registry_provider(std::move(registry))});
-      if (options.hint_noise > 0.0) {
-        provider = core::make_noisy_provider(std::move(provider),
-                                             options.hint_noise,
-                                             options.noise_seed,
-                                             adaptive.num_categories);
-      }
-      cell.context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
-      return cell;
-    }
+    case MethodId::kAdaptiveRanking:
+    case MethodId::kAdaptiveServed:
+      // The driver fires prepare_window per chunk; the queue is sized so a
+      // full window always fits.
+      return make_window_cell(id, queue_capacity, nullptr, adaptive, options);
     case MethodId::kAdaptiveServedLatency:
-      cell.context = make_served_latency_context_impl(
+      cell.context = make_served_latency_context(
           summary.start_time, queue_capacity, nullptr, adaptive, options);
       return cell;
     default:
       break;
   }
   // Everything else never reads the test trace at build time: train-only
-  // artifacts (Heuristic, MLBaseline), hash/model inference per job.
+  // artifacts (Heuristic, MLBaseline), hash or true-label categories.
   const trace::Trace empty_test(0, {});
   cell.context = make_context(id, empty_test, ssd_capacity_bytes, options);
   return cell;

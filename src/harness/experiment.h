@@ -15,6 +15,11 @@
 //   dynamics). AdaptiveServedLatency cells need the clock/service wiring of
 //   make_context(); run_method() and ExperimentRunner do this for you.
 //
+// Every model-backed method resolves each job's model through one
+// ShardedModelRegistry (make_registry): AdaptiveRanking precomputes the
+// test jobs' hints in one registry-grouped batched pass (windowed per chunk
+// in streaming cells), the served methods run the same pass inside
+// PlacementService. TrueCategory alone reads ground-truth labels per job.
 // All adaptive methods construct their category source as a
 // core::CategoryProvider chain (core/category_provider.h); MakeOptions can
 // additionally wrap the chain in a seeded NoisyProvider for hint-noise
@@ -102,11 +107,12 @@ struct MakeOptions {
   // Hint-accuracy half-life while stale; 0 selects the factory default.
   double staleness_half_life = 0.0;
 
-  // ---- model-backend selection (adaptive methods) ----
+  // ---- model-backend selection (registry-backed methods) ----
   // The cluster-default ModelBackend kind serving this cell: the paper's
   // GBDT, the cheap logistic regression, or the frequency table
   // (core/model_backend.h). AdaptiveRanking/AdaptiveServed/
-  // AdaptiveServedLatency build their registries from this.
+  // AdaptiveServedLatency build their registries from this; the default
+  // GBDT backend shares the factory's category model.
   core::BackendKind backend = core::BackendKind::kGbdt;
   // Per-pipeline overrides — the bring-your-own-model fleet: each listed
   // pipeline gets its own backend of the given kind, trained on that
@@ -137,14 +143,16 @@ struct PolicyContext {
 // A streaming simulation cell (harness/streaming.h): the policy context
 // plus the window hooks the chunked driver fires at each chunk boundary.
 // Built from a TraceSummary pre-pass instead of a materialized test trace.
+// Materialized AdaptiveRanking/AdaptiveServed cells are the same cell with
+// one window: the whole test trace.
 struct StreamingCell {
   PolicyContext context;
   // Clairvoyant methods (the oracles) cannot stream — their solve reads
   // the whole test trace by definition. The driver materializes the stream
   // and runs the regular cell instead; everything else stays O(window).
   bool needs_materialized = false;
-  // Custom-backend ranking: the driver precomputes each chunk's hints
-  // (through a chunk-sized FeatureMatrix) and swaps the table in here.
+  // AdaptiveRanking: the driver precomputes each chunk's hints (through a
+  // chunk-sized FeatureMatrix) and swaps the table in here.
   std::shared_ptr<core::SwappableHintsProvider> window_hints;
   // Offline-served cells: each chunk's jobs enqueue here before replay
   // (the streaming equivalent of enqueue_all over the test trace).
@@ -152,6 +160,14 @@ struct StreamingCell {
   // Registry behind window_hints' precompute (null when unused).
   std::shared_ptr<core::ShardedModelRegistry> registry;
   int num_categories = 0;  // precompute width for window_hints
+
+  // Fires the window hooks for `jobs`, before they replay: one
+  // registry-grouped batched precompute into window_hints (reading
+  // `matrix` when given, else a matrix extracted over `jobs`) and one
+  // window_enqueue request per job. Per-job hints do not depend on the
+  // window (precompute_categories' batch-composition independence).
+  void prepare_window(const std::vector<trace::Job>& jobs,
+                      const features::FeatureMatrix* matrix = nullptr) const;
 };
 
 // Trains/caches per-cluster artifacts and manufactures policies.
@@ -161,24 +177,13 @@ class MethodFactory {
                 core::CategoryModelConfig model_config = {},
                 policy::AdaptiveConfig adaptive_config = {});
 
-  // Builds a ready-to-run policy. Oracle methods are clairvoyant and need
-  // the test trace and capacity; the others ignore them at build time.
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test,
-      std::uint64_t ssd_capacity_bytes) const;
-  // Same, with an explicit Algorithm-1 config.
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-      const policy::AdaptiveConfig& adaptive) const;
-  // Full-control variant (noise injection, per-cell seeds).
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-      const MakeOptions& options) const;
-  // Same, returning the virtual-time context alongside the policy. For
-  // kAdaptiveServedLatency this is the only correct entry point (a bare
-  // make() yields a policy whose serving loop never sees time advance, so
-  // every hint misses); for every other method the extra fields are null
-  // and the policy is identical to make()'s.
+  // Builds a ready-to-run policy plus the virtual-time context behind it.
+  // Oracle methods are clairvoyant and read the test trace and capacity;
+  // AdaptiveRanking and the served methods read the test trace's shared
+  // feature matrix; the others ignore both at build time. For
+  // kAdaptiveServedLatency the clock and hint service must be wired into
+  // the simulation (run_context does this), otherwise every hint misses;
+  // for every other method the extra fields are null.
   PolicyContext make_context(MethodId id, const trace::Trace& test,
                              std::uint64_t ssd_capacity_bytes,
                              const MakeOptions& options) const;
@@ -196,8 +201,8 @@ class MethodFactory {
   // Lazily trained category model (shared across makes; thread-safe, so
   // parallel experiment cells can share one factory).
   const core::CategoryModel& category_model() const;
-  // Same model as a shared handle: policies built by make() hold this
-  // pointer instead of copying the forest per cell.
+  // Same model as a shared handle: GBDT backends and the TrueCategory
+  // provider hold this pointer instead of copying the forest per cell.
   std::shared_ptr<const core::CategoryModel> shared_category_model() const;
 
   // Lazily trained cluster-default backend of one kind (kGbdt shares the
@@ -222,17 +227,11 @@ class MethodFactory {
   // same jobs per cell. Thread-safe; parallel cells share one instance.
   features::FeatureMatrixPtr feature_matrix(const trace::Trace& test) const;
 
-  // True when the cell's backend selection differs from the plain shared
-  // GBDT, in which case the method routes through a registry provider (and
-  // the provider chain precomputes hints through the shared feature
-  // matrix). The single source of truth for that routing decision.
-  static bool uses_custom_backends(const MakeOptions& options);
   // True when building this method's provider chain reads the shared
   // per-trace feature matrix — kept next to the provider construction so
   // ExperimentRunner's warm-up (which pre-extracts the matrix for such
   // cells) can never drift from it.
-  static bool method_uses_feature_matrix(MethodId id,
-                                         const MakeOptions& options);
+  static bool method_uses_feature_matrix(MethodId id);
 
   // Pre-trains whatever `id` needs (category model, lifetime baseline) so
   // parallel cells share finished artifacts instead of serializing on the
@@ -253,13 +252,6 @@ class MethodFactory {
     adaptive_config_ = config;
   }
 
-  // Precomputed test-trace categories (one CategoryModel::predict_batch /
-  // true-label pass shared by every cell of a sweep). When set,
-  // AdaptiveRanking / TrueCategory policies consult the table first and
-  // only fall back to per-job inference for jobs outside it.
-  void set_predicted_hints(std::shared_ptr<const policy::CategoryHints> hints);
-  void set_true_hints(std::shared_ptr<const policy::CategoryHints> hints);
-
   // Default hint-accuracy half-life for staleness schedules built from
   // MakeOptions with staleness_half_life == 0 (seconds).
   double default_staleness_half_life() const {
@@ -270,21 +262,21 @@ class MethodFactory {
   }
 
  private:
-  // The provider chain for one adaptive method (before noise decoration).
-  core::CategoryProviderPtr make_provider(
-      MethodId id, const trace::Trace& test,
-      const policy::AdaptiveConfig& adaptive,
-      const MakeOptions& options) const;
+  // The window cell of kAdaptiveRanking (a registry-batched hint table)
+  // or kAdaptiveServed (a deterministic-mode serving loop), each backed by
+  // the synchronous registry provider for jobs outside the window; no
+  // window is loaded yet. Materialized cells pass the test trace's size
+  // and shared feature matrix; streaming cells pass a window-derived
+  // capacity and a null matrix (the service then extracts features per
+  // job — bit-identical by the FeatureMatrix fallback contract).
+  StreamingCell make_window_cell(MethodId id, std::size_t queue_capacity,
+                                 features::FeatureMatrixPtr matrix,
+                                 const policy::AdaptiveConfig& adaptive,
+                                 const MakeOptions& options) const;
   // The virtual-time serving pipeline + optional staleness schedule of one
-  // kAdaptiveServedLatency cell.
+  // kAdaptiveServedLatency cell, parameterized the same way plus the
+  // staleness epoch (the test horizon's start).
   PolicyContext make_served_latency_context(
-      const trace::Trace& test, const policy::AdaptiveConfig& adaptive,
-      const MakeOptions& options) const;
-  // Shared body: materialized cells pass the test trace's horizon, size,
-  // and shared feature matrix; streaming cells pass summary-derived values
-  // and a null matrix (the service then extracts features per job —
-  // bit-identical by the FeatureMatrix fallback contract).
-  PolicyContext make_served_latency_context_impl(
       double epoch_start, std::size_t queue_capacity,
       features::FeatureMatrixPtr matrix,
       const policy::AdaptiveConfig& adaptive,
@@ -312,8 +304,6 @@ class MethodFactory {
   core::CategoryModelConfig model_config_;
   policy::AdaptiveConfig adaptive_config_;
   double default_staleness_half_life_ = 6.0 * 3600.0;
-  std::shared_ptr<const policy::CategoryHints> predicted_hints_;
-  std::shared_ptr<const policy::CategoryHints> true_hints_;
   mutable common::Mutex model_mutex_;
   mutable std::shared_ptr<const core::CategoryModel> model_
       BYOM_GUARDED_BY(model_mutex_);
@@ -346,8 +336,9 @@ class MethodFactory {
   // A handful of traces per factory, so a flat vector beats a map.
   mutable std::vector<std::pair<TraceIdentity, features::FeatureMatrixPtr>>
       matrix_cache_ BYOM_GUARDED_BY(model_mutex_);
-  // Trained-once prototype; make() hands out cheap copies (the policy is
-  // stateless after construction but each simulation owns its instance).
+  // Trained-once prototype; make_context() hands out cheap copies (the
+  // policy is stateless after construction but each simulation owns its
+  // instance).
   mutable std::shared_ptr<const policy::LifetimeMlPolicy> ml_baseline_
       BYOM_GUARDED_BY(model_mutex_);
 };

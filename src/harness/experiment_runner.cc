@@ -80,9 +80,8 @@ void ExperimentRunner::warm_models(
       throw std::out_of_range("ExperimentRunner: cell references unknown "
                               "cluster");
     }
-    const MakeOptions options = options_for(cell);
-    clusters_[cell.cluster].factory->warm(cell.method, options);
-    if (MethodFactory::method_uses_feature_matrix(cell.method, options)) {
+    clusters_[cell.cluster].factory->warm(cell.method, options_for(cell));
+    if (MethodFactory::method_uses_feature_matrix(cell.method)) {
       // The cell reads the trace's shared feature matrix; extract it once
       // up front instead of letting the first few workers race to build
       // duplicates.

@@ -1,22 +1,18 @@
 #include "harness/streaming.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
-
-#include "core/byom.h"
-#include "features/feature_matrix.h"
 
 namespace byom::harness {
 
 namespace {
 
 // Chunk-buffering decorator: copies the inner stream's jobs into a recycled
-// chunk buffer and fires the cell's window hooks (hint precompute through a
-// chunk-sized FeatureMatrix, serving enqueue) before the chunk's first job
-// is handed out. Slot assignments reuse string capacity, so steady state
-// allocates only what the hooks themselves build per window.
+// chunk buffer and fires the cell's window hooks
+// (StreamingCell::prepare_window) before the chunk's first job is handed
+// out. Slot assignments reuse string capacity, so steady state allocates
+// only what the hooks themselves build per window.
 class WindowedStream final : public trace::JobStream {
  public:
   WindowedStream(trace::JobStream& inner, std::size_t chunk_jobs,
@@ -51,27 +47,7 @@ class WindowedStream final : public trace::JobStream {
     // Final partial chunk: shrink so the hooks see exactly the window.
     if (n < buffer_.size()) buffer_.resize(n);
     count_ = n;
-    if (n == 0) return;
-
-    if (cell_->window_hints) {
-      // One registry-grouped batched pass over the window, reading a
-      // chunk-sized feature matrix — per-job results are identical to the
-      // whole-trace table (precompute_categories' contract).
-      const auto matrix = features::make_feature_matrix(
-          features::FeatureExtractor{}, buffer_);
-      cell_->window_hints->set_hints(
-          std::make_shared<const core::CategoryHints>(
-              core::precompute_categories(*cell_->registry, buffer_,
-                                          cell_->num_categories,
-                                          matrix.get())));
-    }
-    if (cell_->window_enqueue) {
-      // The streaming equivalent of enqueue_all(test.jobs()): this
-      // window's requests enter the serving queue before its replay.
-      for (const trace::Job& job : buffer_) {
-        cell_->window_enqueue->enqueue(job);
-      }
-    }
+    if (n > 0) cell_->prepare_window(buffer_);
   }
 
   trace::JobStream* inner_;

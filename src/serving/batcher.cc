@@ -35,7 +35,7 @@ bool Batcher::run_once() {
   // deadline is anchored at the first pop, so a trickle of requests cannot
   // postpone the flush indefinitely.
   // lint:allow(wall-clock) threaded-worker flush deadline; virtual-time
-  // mode never calls run_once (it drains at lookup or by clock event)
+  // mode never calls run_once (it drains at lookup)
   const auto deadline =
       std::chrono::steady_clock::now() + config_.flush_deadline;
   while (batch.size() < config_.max_batch) {

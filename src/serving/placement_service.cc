@@ -80,11 +80,12 @@ bool PlacementService::enqueue(const trace::Job& job) {
   Shard& shard = shard_for(job);
   InferenceRequest request;
   request.job = job;
-  // lint:allow(wall-clock) threaded-mode latency accounting; virtual-time
-  // consumers read virtual_enqueued_at instead
-  request.enqueued_at = std::chrono::steady_clock::now();
   if (virtual_time()) {
     request.virtual_enqueued_at = config_.clock->now();
+  } else {
+    // lint:allow(wall-clock) threaded/deterministic-mode latency accounting;
+    // virtual-time mode stamps virtual_enqueued_at and never reads it
+    request.enqueued_at = std::chrono::steady_clock::now();
   }
   if (!shard.queue.try_push(std::move(request))) {
     // atomic: relaxed — stats counter; publishes no data, only summed
@@ -95,34 +96,6 @@ bool PlacementService::enqueue(const trace::Job& job) {
   // atomic: relaxed — stats counter; publishes no data, only summed
   // by stats()
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (virtual_time() && config_.virtual_flush_deadline > 0.0 &&
-      !config_.drain_on_lookup) {
-    // The batcher's flush deadline, in virtual time: even if no consumer
-    // ever asks, whatever is queued gets computed and delivered by then.
-    // Only armed when lookups do NOT drain — when they do (the simulator's
-    // regime), every request is computed at its consumer's decision and the
-    // flush event would just fire on an empty queue, one wasted heap event
-    // per arrival. The pending flag is guarded by results_mutex like the
-    // rest of the virtual-time state (it used to be read and set with no
-    // lock at all — the kind of discipline slip the thread-safety
-    // annotations now reject at compile time); the event is scheduled
-    // after the lock is dropped so the clock never runs under it.
-    bool arm = false;
-    {
-      common::MutexLock lock(shard.results_mutex);
-      if (!shard.flush_event_pending) {
-        shard.flush_event_pending = true;
-        arm = true;
-      }
-    }
-    if (arm) {
-      config_.clock->schedule_typed(
-          config_.clock->now() + config_.virtual_flush_deadline,
-          sim::SimClock::kHintReadyPriority,
-          sim::SimClock::EventKind::kBatcherFlush,
-          &PlacementService::on_flush_event, this);
-    }
-  }
   return true;
 }
 
@@ -135,26 +108,46 @@ std::size_t PlacementService::enqueue_all(
   return accepted;
 }
 
+std::optional<int> PlacementService::Shard::published(
+    std::uint64_t job_id) const {
+  common::MutexLock lock(results_mutex);
+  const auto it = results.find(job_id);
+  if (it == results.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<int> PlacementService::Shard::drain_and_find(
+    std::uint64_t job_id) {
+  if (auto hint = published(job_id)) return hint;
+  // Compute everything queued on this shard, on this thread: every enqueued
+  // request meets its deadline, with no timing dependence. In virtual-time
+  // mode results land in the published table (ready now) or the in-flight
+  // table (ready in the future).
+  batcher.drain();
+  return published(job_id);
+}
+
 std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
   for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->results_mutex);
-    const auto it = shard->results.find(job_id);
-    if (it != shard->results.end()) return it->second;
+    if (auto hint = shard->published(job_id)) return hint;
   }
   return std::nullopt;
 }
 
-std::optional<int> PlacementService::wait_for_virtual(std::uint64_t job_id) {
-  Shard& shard = *shards_.front();  // virtual-time mode is single-shard
+std::optional<int> PlacementService::wait_for(const trace::Job& job) {
+  Shard& shard = shard_for(job);
+  if (virtual_time()) return wait_for_virtual(shard, job.job_id);
+  if (!deterministic()) return wait_for_threaded(shard, job.job_id);
+  const auto hint = shard.drain_and_find(job.job_id);
+  // atomic: relaxed — stats counter; only summed by stats()
+  (hint ? shard.hits : shard.misses).fetch_add(1, std::memory_order_relaxed);
+  return hint;
+}
+
+std::optional<int> PlacementService::wait_for_virtual(Shard& shard,
+                                                      std::uint64_t job_id) {
   const double now = config_.clock->now();
-  auto hint = lookup(job_id);
-  if (!hint && config_.drain_on_lookup) {
-    // Compute everything queued so far; results land in the published table
-    // (ready now) or the in-flight table (ready in the future).
-    shard.batcher.drain();
-    hint = lookup(job_id);
-  }
-  if (hint) {
+  if (const auto hint = shard.drain_and_find(job_id)) {
     // Ready at or before the lookup: consumed on time.
     // atomic: relaxed — stats counters; publish no data, only summed by
     // stats()
@@ -194,33 +187,8 @@ std::optional<int> PlacementService::wait_for_virtual(std::uint64_t job_id) {
   return std::nullopt;
 }
 
-std::optional<int> PlacementService::wait_for_on(Shard& shard,
-                                                 std::uint64_t job_id) {
-  if (deterministic()) {
-    std::optional<int> hint;
-    {
-      common::MutexLock lock(shard.results_mutex);
-      const auto it = shard.results.find(job_id);
-      if (it != shard.results.end()) hint = it->second;
-    }
-    if (!hint && config_.drain_on_lookup) {
-      // Process everything queued on this shard on this thread: the "every
-      // request meets its deadline" regime, with no timing dependence.
-      shard.batcher.drain();
-      common::MutexLock lock(shard.results_mutex);
-      const auto it = shard.results.find(job_id);
-      if (it != shard.results.end()) hint = it->second;
-    }
-    if (hint) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // atomic: relaxed — stats counter; only summed by stats()
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    return hint;
-  }
-
+std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
+                                                       std::uint64_t job_id) {
   // lint:allow(wall-clock) threaded-mode consumer deadline; virtual-time
   // lookups go through wait_for_virtual instead
   const auto deadline =
@@ -249,72 +217,6 @@ std::optional<int> PlacementService::wait_for_on(Shard& shard,
   return std::nullopt;
 }
 
-std::optional<int> PlacementService::wait_for(const trace::Job& job) {
-  if (virtual_time()) {
-    return wait_for_virtual(job.job_id);
-  }
-  return wait_for_on(shard_for(job), job.job_id);
-}
-
-std::optional<int> PlacementService::wait_for(std::uint64_t job_id) {
-  if (virtual_time()) {
-    return wait_for_virtual(job_id);
-  }
-  if (shards_.size() == 1) {
-    return wait_for_on(*shards_.front(), job_id);
-  }
-
-  // Id-only lookups cannot route by job key. Deterministic mode drains
-  // every shard and scans; threaded mode polls the tables until the
-  // deadline. Both attribute the hit to the owning shard (the miss to
-  // shard 0) so aggregates stay exact.
-  const auto scan = [&]() -> Shard* {
-    // Self-contained locking: the lambda acquires each shard's capability
-    // itself, so the analysis checks its body independently.
-    for (const auto& shard : shards_) {
-      common::MutexLock lock(shard->results_mutex);
-      if (shard->results.count(job_id)) return shard.get();
-    }
-    return nullptr;
-  };
-
-  if (deterministic()) {
-    Shard* owner = scan();
-    if (!owner && config_.drain_on_lookup) {
-      for (const auto& shard : shards_) shard->batcher.drain();
-      owner = scan();
-    }
-    if (owner) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      owner->hits.fetch_add(1, std::memory_order_relaxed);
-      common::MutexLock lock(owner->results_mutex);
-      return owner->results.at(job_id);
-    }
-    // atomic: relaxed — stats counter; only summed by stats()
-    shards_.front()->misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-
-  // lint:allow(wall-clock) threaded-mode poll deadline (id-only slow path)
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.request_deadline;
-  for (;;) {
-    if (Shard* owner = scan()) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      owner->hits.fetch_add(1, std::memory_order_relaxed);
-      common::MutexLock lock(owner->results_mutex);
-      return owner->results.at(job_id);
-    }
-    // lint:allow(wall-clock) threaded-mode poll loop, see above
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    // lint:allow(wall-clock) threaded-mode poll backoff, see above
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // atomic: relaxed — stats counter; only summed by stats()
-  shards_.front()->misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
 void PlacementService::publish_virtual(Shard& shard, std::uint64_t job_id,
                                        int category, double virtual_latency) {
   common::MutexLock lock(shard.results_mutex);
@@ -328,18 +230,6 @@ void PlacementService::publish_virtual(Shard& shard, std::uint64_t job_id,
 void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
                                            double) {
   static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
-}
-
-void PlacementService::on_flush_event(void* ctx, std::uint64_t, double) {
-  auto* service = static_cast<PlacementService*>(ctx);
-  Shard& shard = *service->shards_.front();
-  {
-    // Clear before draining: a drain that enqueues follow-up work may
-    // legitimately re-arm the flush event.
-    common::MutexLock lock(shard.results_mutex);
-    shard.flush_event_pending = false;
-  }
-  shard.batcher.drain();
 }
 
 void PlacementService::deliver_virtual(std::uint64_t job_id) {

@@ -32,17 +32,21 @@
 //     declining (a miss, counted — the consumer's fallback chain takes
 //     over).
 //   * num_threads == 0: deterministic single-thread mode. No threads, no
-//     timing: provider lookups drain the job's shard synchronously, so
-//     every request "meets its deadline" and results are bit-reproducible —
-//     the mode simulation cells and tests use.
-//   * num_threads == 0 with a sim::SimClock (virtual-time mode): timestamps
-//     come from the injected clock and every request is charged
+//     timing: a lookup that finds no published hint drains the job's shard
+//     synchronously, so every enqueued request "meets its deadline" and
+//     results are bit-reproducible — the mode simulation cells and tests
+//     use. A lookup for a job that was never enqueued (or was dropped)
+//     misses.
+//   * num_threads == 0 with a sim::SimClock (virtual-time mode): the same
+//     drain-on-lookup batching, but timestamps come from the injected clock
+//     (the wall clock is never read) and every request is charged
 //     `latency_model->latency_seconds(job)` of virtual delay, so hints race
 //     the placement decisions replayed by the event-driven simulator. A
 //     consumer waits up to `virtual_request_deadline` virtual seconds for
 //     its hint; a hint that cannot make that deadline is a miss (the
 //     consumer degrades to its fallback, per Algorithm 1) and is delivered
-//     later by a hint-ready event on the clock, counted `late`. With the
+//     later by a hint-ready event on the clock, counted `late`. Hint-ready
+//     events are the only events the service schedules. With the
 //     zero-latency model every hint is on time and results are bit-identical
 //     to plain deterministic mode. Virtual-time mode requires num_shards ==
 //     1: simulation cells stay on the single-lane, bit-reproducible path.
@@ -110,10 +114,6 @@ struct PlacementServiceConfig {
   // re-extracting each requested job (bit-identical results). Immutable, so
   // worker threads share it without locking.
   features::FeatureMatrixPtr feature_matrix;
-  // Deterministic mode only: when false, provider lookups do NOT drain the
-  // queue — pending requests never complete, so every lookup declines.
-  // Exists to test deadline-miss/fallback accounting deterministically.
-  bool drain_on_lookup = true;
 
   // ---- virtual-time mode (requires num_threads == 0, num_shards <= 1) ----
   // The shared virtual time source. Setting it switches the deterministic
@@ -127,13 +127,6 @@ struct PlacementServiceConfig {
   // of the lookup is consumed on time; anything slower is a miss and a late
   // delivery. The virtual analogue of `request_deadline`.
   double virtual_request_deadline = 0.0;
-  // Batcher flush deadline in virtual seconds: requests still queued this
-  // long after submission are force-flushed by a clock event, so hints for
-  // consumers that never ask still reach the results table. Only armed
-  // when drain_on_lookup is false — when lookups drain, every request is
-  // computed at its consumer's decision and the event would be a no-op.
-  // <= 0 disables the flush event.
-  double virtual_flush_deadline = 0.0;
 };
 
 // Aggregate serving counters (all monotonic), summed across shards with
@@ -217,12 +210,6 @@ class PlacementService : public sim::HintService {
   // hit or a miss. This is the serving hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
 
-  // Id-only variant for consumers that no longer hold the job. Identical to
-  // the routed overload at num_shards == 1; with more shards it must scan
-  // (deterministic mode) or poll (threaded mode) the results tables, so
-  // prefer wait_for(job) on hot paths.
-  std::optional<int> wait_for(std::uint64_t job_id);
-
   // Stops accepting requests, wakes every idle worker on every shard, and
   // joins them. The drain order is part of the contract: requests accepted
   // before shutdown are executed by the exiting workers of their shard, so
@@ -267,6 +254,12 @@ class PlacementService : public sim::HintService {
   struct Shard {
     Shard(PlacementService* service, const PlacementServiceConfig& config);
 
+    // The published hint for `job_id`, if any (takes results_mutex).
+    std::optional<int> published(std::uint64_t job_id) const;
+    // Deterministic modes' lookup: published() after draining the queue
+    // when the hint is not published yet.
+    std::optional<int> drain_and_find(std::uint64_t job_id);
+
     InferenceRequestQueue queue;
     Batcher batcher;
 
@@ -290,7 +283,6 @@ class PlacementService : public sim::HintService {
     // consistency with the results table).
     std::unordered_map<std::uint64_t, InFlightHint> in_flight
         BYOM_GUARDED_BY(results_mutex);
-    bool flush_event_pending BYOM_GUARDED_BY(results_mutex) = false;
 
     // Written by the constructor before any worker runs and joined by
     // shutdown() under shutdown_mutex_; never touched by the workers
@@ -306,13 +298,11 @@ class PlacementService : public sim::HintService {
   void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
                        double virtual_latency);
   void deliver_virtual(std::uint64_t job_id);
-  // Typed SimClock trampolines (virtual-time mode, shard 0): hint-ready
-  // delivery and the batcher's virtual flush deadline, dispatched with zero
-  // allocation.
+  // Typed SimClock trampoline (virtual-time mode, shard 0): hint-ready
+  // delivery, dispatched with zero allocation.
   static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
-  static void on_flush_event(void* ctx, std::uint64_t, double);
-  std::optional<int> wait_for_on(Shard& shard, std::uint64_t job_id);
-  std::optional<int> wait_for_virtual(std::uint64_t job_id);
+  std::optional<int> wait_for_threaded(Shard& shard, std::uint64_t job_id);
+  std::optional<int> wait_for_virtual(Shard& shard, std::uint64_t job_id);
   void worker_loop(Shard& shard);
 
   const PlacementServiceConfig config_;  // num_shards resolved (>= 1)

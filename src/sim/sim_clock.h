@@ -1,8 +1,8 @@
 // SimClock — the virtual time source of the event-driven simulation core.
 //
 // The simulator, the serving pipeline, and the staleness machinery all share
-// one injectable clock instead of reading wall time: arrivals, hint-ready
-// deliveries, batcher flushes, and model retrains are events on a single
+// one injectable clock instead of reading wall time: arrivals, capacity
+// releases, hint-ready deliveries, and model retrains are events on a single
 // virtual timeline, so a hint produced by the serving loop can genuinely
 // arrive *after* the placement decision that wanted it, and the whole run
 // stays bit-reproducible regardless of host speed or thread count.
@@ -56,7 +56,6 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
     kRelease,       // SSD capacity released at a job's eviction/end time
     kRetrain,       // model retrain instant on the staleness schedule
     kHintReady,     // a served category hint becomes visible to consumers
-    kBatcherFlush,  // virtual-time batcher flush deadline
     kCallback,      // pooled std::function escape hatch
   };
 

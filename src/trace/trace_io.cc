@@ -1,6 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -24,28 +25,43 @@ const char* const kColumns[] = {
     "hint_lead",
 };
 
-double to_double(const std::string& s) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad numeric field in trace CSV: " + s);
-  }
+// One CSV field with the column it came from, so parse errors name it.
+struct Field {
+  const char* column;
+  const std::string& text;
+};
+
+[[noreturn]] void bad_field(const Field& field, const char* why) {
+  throw std::runtime_error(std::string("trace CSV column '") + field.column +
+                           "': " + why + ": '" + field.text + "'");
 }
 
-std::int64_t to_i64(const std::string& s) {
-  try {
-    return std::stoll(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad integer field in trace CSV: " + s);
-  }
+// Parses the whole field as T with std::from_chars: no leading whitespace,
+// no trailing junk, no sign on unsigned types, and values that do not fit
+// T are rejected rather than wrapped or truncated.
+template <typename T>
+T parse_field(const Field& field) {
+  T value{};
+  const char* first = field.text.data();
+  const char* last = first + field.text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range) bad_field(field, "out of range");
+  if (ec != std::errc() || ptr != last) bad_field(field, "not a number");
+  return value;
 }
 
-std::uint64_t to_u64(const std::string& s) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad unsigned field in trace CSV: " + s);
-  }
+// Finite doubles only; negative values are legal (generated traces carry -1
+// in the hist_* columns for jobs without history).
+double to_double(const Field& field) {
+  const double value = parse_field<double>(field);
+  if (!std::isfinite(value)) bad_field(field, "not finite");
+  return value;
+}
+
+bool to_flag(const Field& field) {
+  if (field.text == "0") return false;
+  if (field.text == "1") return true;
+  bad_field(field, "expected 0 or 1");
 }
 
 std::string fmt(double v) {
@@ -131,46 +147,49 @@ Trace from_csv(const common::CsvTable& table) {
     if (row.size() < table.header.size()) {
       throw std::runtime_error("trace CSV row has too few fields");
     }
-    auto f = [&](int c) -> const std::string& {
-      return row[idx[static_cast<std::size_t>(c)]];
+    std::size_t c = 0;
+    const auto next = [&]() -> Field {
+      const std::size_t i = c++;
+      return {kColumns[i], row[idx[i]]};
     };
     Job j;
-    int c = 0;
-    j.job_id = to_u64(f(c++));
-    j.cluster_id = static_cast<std::uint32_t>(to_u64(f(c++)));
-    j.job_key = f(c++);
-    j.owner = f(c++);
-    j.build_target_name = f(c++);
-    j.execution_name = f(c++);
-    j.pipeline_name = f(c++);
-    j.step_name = f(c++);
-    j.user_name = f(c++);
-    j.arrival_time = to_double(f(c++));
-    j.lifetime = to_double(f(c++));
-    j.peak_bytes = to_u64(f(c++));
-    j.io.bytes_written = to_u64(f(c++));
-    j.io.bytes_read = to_u64(f(c++));
-    j.io.avg_read_block = to_double(f(c++));
-    j.io.avg_write_block = to_double(f(c++));
-    j.io.dram_cache_hit_fraction = to_double(f(c++));
-    j.resources.bucket_sizing_initial_num_stripes = to_i64(f(c++));
-    j.resources.bucket_sizing_num_shards = to_i64(f(c++));
-    j.resources.bucket_sizing_num_worker_threads = to_i64(f(c++));
-    j.resources.bucket_sizing_num_workers = to_i64(f(c++));
-    j.resources.initial_num_buckets = to_i64(f(c++));
-    j.resources.num_buckets = to_i64(f(c++));
-    j.resources.records_written = to_i64(f(c++));
-    j.resources.requested_num_shards = to_i64(f(c++));
-    j.history.average_tcio = to_double(f(c++));
-    j.history.average_size = to_double(f(c++));
-    j.history.average_lifetime = to_double(f(c++));
-    j.history.average_io_density = to_double(f(c++));
-    j.tcio_hdd = to_double(f(c++));
-    j.io_density = to_double(f(c++));
-    j.cost_hdd = to_double(f(c++));
-    j.cost_ssd = to_double(f(c++));
-    j.framework_workload = f(c++) == "1";
-    if (has_hint_lead) j.hint_lead = to_double(f(c++));
+    j.job_id = parse_field<std::uint64_t>(next());
+    j.cluster_id = parse_field<std::uint32_t>(next());
+    j.job_key = next().text;
+    j.owner = next().text;
+    j.build_target_name = next().text;
+    j.execution_name = next().text;
+    j.pipeline_name = next().text;
+    j.step_name = next().text;
+    j.user_name = next().text;
+    j.arrival_time = to_double(next());
+    j.lifetime = to_double(next());
+    j.peak_bytes = parse_field<std::uint64_t>(next());
+    j.io.bytes_written = parse_field<std::uint64_t>(next());
+    j.io.bytes_read = parse_field<std::uint64_t>(next());
+    j.io.avg_read_block = to_double(next());
+    j.io.avg_write_block = to_double(next());
+    j.io.dram_cache_hit_fraction = to_double(next());
+    j.resources.bucket_sizing_initial_num_stripes =
+        parse_field<std::int64_t>(next());
+    j.resources.bucket_sizing_num_shards = parse_field<std::int64_t>(next());
+    j.resources.bucket_sizing_num_worker_threads =
+        parse_field<std::int64_t>(next());
+    j.resources.bucket_sizing_num_workers = parse_field<std::int64_t>(next());
+    j.resources.initial_num_buckets = parse_field<std::int64_t>(next());
+    j.resources.num_buckets = parse_field<std::int64_t>(next());
+    j.resources.records_written = parse_field<std::int64_t>(next());
+    j.resources.requested_num_shards = parse_field<std::int64_t>(next());
+    j.history.average_tcio = to_double(next());
+    j.history.average_size = to_double(next());
+    j.history.average_lifetime = to_double(next());
+    j.history.average_io_density = to_double(next());
+    j.tcio_hdd = to_double(next());
+    j.io_density = to_double(next());
+    j.cost_hdd = to_double(next());
+    j.cost_ssd = to_double(next());
+    j.framework_workload = to_flag(next());
+    if (has_hint_lead) j.hint_lead = to_double(next());
     cluster_id = j.cluster_id;
     jobs.push_back(std::move(j));
   }

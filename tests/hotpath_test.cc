@@ -326,8 +326,8 @@ TEST(TypedEvents, PriorityStillOutranksSequenceAcrossKinds) {
                        sim::SimClock::EventKind::kCallback, +record, &order,
                        3);
   clock.schedule_typed(2.0, sim::SimClock::kHintReadyPriority,
-                       sim::SimClock::EventKind::kBatcherFlush, +record,
-                       &order, 2);
+                       sim::SimClock::EventKind::kHintReady, +record, &order,
+                       2);
   clock.schedule_typed(2.0, sim::SimClock::kRetrainPriority,
                        sim::SimClock::EventKind::kRetrain, +record, &order, 1);
   clock.schedule_typed(2.0, sim::SimClock::kReleasePriority,
@@ -443,10 +443,11 @@ TEST(FeatureMatrixIdentity, ModelPredictCategoriesOverloadMatches) {
 
 // ------------------------------------------- engine + pipeline end to end
 
-// The acceptance oracle extended to registry/matrix-routed backends: with a
-// non-default backend the AdaptiveRanking provider chain precomputes hints
-// through the shared FeatureMatrix, and the typed event engine must still
-// replay byte-for-byte like the synchronous reference loop.
+// The acceptance oracle extended to registry/matrix-routed backends: the
+// AdaptiveRanking provider chain precomputes hints through the shared
+// FeatureMatrix for every backend kind (here the non-GBDT ones), and the
+// typed event engine must still replay byte-for-byte like the synchronous
+// reference loop.
 TEST(EventEngineIdentity, MatrixRoutedBackendsMatchSynchronousOracle) {
   static const sim::MethodFactory factory = [] {
     core::CategoryModelConfig config;
@@ -463,10 +464,16 @@ TEST(EventEngineIdentity, MatrixRoutedBackendsMatchSynchronousOracle) {
     SCOPED_TRACE(core::backend_kind_name(kind));
     sim::MakeOptions options;
     options.backend = kind;
-    const auto event_policy = factory.make(sim::MethodId::kAdaptiveRanking,
-                                           split().test, cap, options);
-    const auto sync_policy = factory.make(sim::MethodId::kAdaptiveRanking,
-                                          split().test, cap, options);
+    const auto event_policy =
+        factory
+            .make_context(sim::MethodId::kAdaptiveRanking, split().test, cap,
+                          options)
+            .policy;
+    const auto sync_policy =
+        factory
+            .make_context(sim::MethodId::kAdaptiveRanking, split().test, cap,
+                          options)
+            .policy;
     const auto event_result = simulate(split().test, *event_policy, config);
     const auto sync_result =
         simulate_synchronous(split().test, *sync_policy, config);

@@ -220,7 +220,7 @@ TEST(PlacementService, DeterministicModeServesBatchedHints) {
   const auto expected = core::precompute_categories(
       *f.registry, jobs, f.model->num_categories());
   for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
+    const auto served = service.wait_for(job);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(*served, expected.at(job.job_id));
   }
@@ -243,7 +243,7 @@ TEST(PlacementService, DeterministicModeIsRunToRunIdentical) {
     std::vector<int> categories;
     categories.reserve(jobs.size());
     for (const auto& job : jobs) {
-      categories.push_back(service.wait_for(job.job_id).value_or(-1));
+      categories.push_back(service.wait_for(job).value_or(-1));
     }
     const auto stats = service.stats();
     return std::make_pair(categories, stats.batches);
@@ -257,23 +257,23 @@ TEST(PlacementService, DeterministicModeIsRunToRunIdentical) {
 TEST(PlacementService, MissedDeadlineCountsFallbacks) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
-  auto config = f.deterministic_config();
-  config.drain_on_lookup = false;  // pending requests never complete
+  const auto config = f.deterministic_config();
+  // Lookups for jobs that were never enqueued miss: the drain finds no
+  // request to compute.
   PlacementService service(f.registry, config);
-  service.enqueue_all(jobs);
-
-  EXPECT_FALSE(service.wait_for(jobs.front().job_id).has_value());
-  EXPECT_FALSE(service.wait_for(jobs.back().job_id).has_value());
+  ASSERT_TRUE(service.enqueue(jobs[1]));
+  EXPECT_FALSE(service.wait_for(jobs.front()).has_value());
+  EXPECT_FALSE(service.wait_for(jobs.back()).has_value());
   const auto stats = service.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.completed, 1u);  // the drain still served jobs[1]
 
   // The consumer side degrades gracefully: a policy over the served
   // provider falls back to the hash category for every decision.
   policy::AdaptiveConfig adaptive;
   adaptive.num_categories = f.model->num_categories();
   auto service_ptr = std::make_shared<PlacementService>(f.registry, config);
-  service_ptr->enqueue_all(jobs);
   policy::AdaptiveCategoryPolicy policy(
       "served", make_served_provider(service_ptr), adaptive);
   policy::StorageView view;
@@ -288,7 +288,6 @@ TEST(PlacementService, FullQueueDropsRequests) {
   auto& f = fixture();
   auto config = f.deterministic_config();
   config.queue_capacity = 4;
-  config.drain_on_lookup = true;
   PlacementService service(f.registry, config);
   const auto& jobs = f.split.test.jobs();
   ASSERT_GT(jobs.size(), 8u);
@@ -374,7 +373,7 @@ TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
                                f.split.test.jobs().begin() + count);
   ASSERT_EQ(service.enqueue_all(jobs), jobs.size());
   for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
+    const auto served = service.wait_for(job);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(*served, f.model->predict_category(job));
   }
@@ -421,7 +420,7 @@ TEST(PlacementService, ThreadedWorkersShareFeatureMatrix) {
   second.join();
 
   for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
+    const auto served = service.wait_for(job);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(*served, f.model->predict_category(job));
   }
@@ -681,12 +680,9 @@ TEST(AsyncServingEquivalence, ServedSweepMatchesOfflineBatched) {
   auto& f = fixture();
   sim::MethodFactory factory(f.split.train, cost::Rates{},
                              small_model_config());
-  // Offline path: one batched pass over the test trace, shared as hints.
-  auto hints = std::make_shared<const core::CategoryHints>(
-      core::precompute_categories(*f.registry, f.split.test.jobs(),
-                                  f.model->num_categories()));
+  // Offline path: each AdaptiveRanking cell runs one registry-batched
+  // pass over the test trace.
   factory.set_category_model(*f.model);
-  factory.set_predicted_hints(hints);
 
   sim::ExperimentRunner runner;
   const auto index = runner.add_cluster(&factory, &f.split.test);
@@ -733,8 +729,8 @@ TEST(VirtualTime, ZeroLatencyMatchesPlainDeterministicHints) {
   virt.enqueue_all(jobs);
 
   for (const auto& job : jobs) {
-    const auto a = plain.wait_for(job.job_id);
-    const auto b = virt.wait_for(job.job_id);
+    const auto a = plain.wait_for(job);
+    const auto b = virt.wait_for(job);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(*a, *b);
@@ -816,7 +812,7 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
 
   const auto& job = f.split.test.jobs().front();
   ASSERT_TRUE(service.enqueue(job));
-  const auto hint = service.wait_for(job.job_id);
+  const auto hint = service.wait_for(job);
   ASSERT_TRUE(hint.has_value());
   EXPECT_EQ(*hint, f.model->predict_category(job));
   const auto stats = service.stats();
@@ -840,7 +836,7 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
 
   const auto& job = f.split.test.jobs().front();
   ASSERT_TRUE(service.enqueue(job));
-  EXPECT_FALSE(service.wait_for(job.job_id).has_value());  // cannot make it
+  EXPECT_FALSE(service.wait_for(job).has_value());  // cannot make it
   EXPECT_EQ(service.stats().misses, 1u);
   EXPECT_EQ(service.stats().late, 0u);  // not delivered yet
 
@@ -855,61 +851,6 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
   EXPECT_EQ(stats.late, 1u);
   EXPECT_EQ(stats.on_time, 0u);
   EXPECT_EQ(stats.completed, 1u);
-}
-
-TEST(VirtualTime, FlushEventComputesUnconsumedRequests) {
-  auto& f = fixture();
-  auto config = f.deterministic_config();
-  config.clock = std::make_shared<sim::SimClock>();
-  config.latency_model = make_zero_latency_model();
-  config.virtual_flush_deadline = 2.0;
-  config.drain_on_lookup = false;  // no consumer drains: the flush must
-  PlacementService service(f.registry, config);
-
-  const auto& job = f.split.test.jobs().front();
-  ASSERT_TRUE(service.enqueue(job));
-  EXPECT_FALSE(service.lookup(job.job_id).has_value());
-  // No consumer ever asks; the virtual batcher deadline flushes anyway.
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 2.0);
-  EXPECT_TRUE(service.lookup(job.job_id).has_value());
-  EXPECT_EQ(service.stats().completed, 1u);
-}
-
-TEST(VirtualTime, FlushEventArmsOncePerWindowAndRearms) {
-  // Regression for the flush_event_pending lock-discipline fix: the flag is
-  // read-modify-written under the shard's results mutex (BYOM_GUARDED_BY
-  // pins it at compile time under clang), and its protocol is exactly "one
-  // armed flush event per window, re-armed after the event fires".
-  auto& f = fixture();
-  auto config = f.deterministic_config();
-  config.clock = std::make_shared<sim::SimClock>();
-  config.latency_model = make_zero_latency_model();
-  config.virtual_flush_deadline = 2.0;
-  config.drain_on_lookup = false;
-  PlacementService service(f.registry, config);
-
-  const auto& jobs = f.split.test.jobs();
-  ASSERT_GE(jobs.size(), 4u);
-  // Several enqueues inside one window share ONE armed event: arming is
-  // deduped by the pending flag, not once per request.
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.enqueue(jobs[i])) << i;
-  EXPECT_EQ(config.clock->pending(), 1u);
-
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 2.0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(service.lookup(jobs[i].job_id).has_value()) << i;
-  }
-
-  // The event handler cleared the flag before draining, so the next window
-  // arms a fresh flush instead of being swallowed by a stale pending bit.
-  ASSERT_TRUE(service.enqueue(jobs[3]));
-  EXPECT_EQ(config.clock->pending(), 1u);
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 4.0);
-  EXPECT_TRUE(service.lookup(jobs[3].job_id).has_value());
-  EXPECT_EQ(service.stats().completed, 4u);
 }
 
 // -------------------------------------------------- noisy cells determinism

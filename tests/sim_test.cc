@@ -305,7 +305,8 @@ TEST_F(ExperimentFactoryTest, BuildsEveryMethod) {
         MethodId::kAdaptiveHash, MethodId::kAdaptiveRanking,
         MethodId::kOracleTco, MethodId::kOracleTcio, MethodId::kTrueCategory,
         MethodId::kAdaptiveServed, MethodId::kAdaptiveServedLatency}) {
-    const auto policy = factory().make(id, split().test, cap);
+    const auto policy =
+        factory().make_context(id, split().test, cap, {}).policy;
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), method_name(id));
   }
@@ -325,8 +326,10 @@ TEST_F(ExperimentFactoryTest, EventEngineBitIdenticalToSynchronousPath) {
         MethodId::kOracleTco, MethodId::kOracleTcio, MethodId::kTrueCategory,
         MethodId::kAdaptiveServed}) {
     SCOPED_TRACE(method_name(id));
-    const auto event_policy = factory().make(id, split().test, cap);
-    const auto sync_policy = factory().make(id, split().test, cap);
+    const auto event_policy =
+        factory().make_context(id, split().test, cap, {}).policy;
+    const auto sync_policy =
+        factory().make_context(id, split().test, cap, {}).policy;
     expect_bit_identical(simulate(split().test, *event_policy, cfg),
                          simulate_synchronous(split().test, *sync_policy,
                                               cfg));

@@ -14,12 +14,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/category_model.h"
+#include "core/category_provider.h"
 #include "core/model_backend.h"
 #include "harness/experiment.h"
 #include "harness/streaming.h"
+#include "policy/adaptive.h"
 #include "sim/simulator.h"
 #include "sim/soak_counters.h"
 #include "trace/generator.h"
@@ -295,6 +298,47 @@ TEST(StreamingSimulate, BitIdenticalAcrossWindowSizes) {
     SCOPED_TRACE("chunk " + std::to_string(chunk));
     expect_streaming_matches_materialized(sim::MethodId::kAdaptiveRanking,
                                           options, chunk);
+  }
+}
+
+// The reference oracle for the registry-batched ranking path: default
+// AdaptiveRanking (one registry-grouped batched pass over the test trace
+// when materialized, one per window when streamed) must place every job
+// exactly like Algorithm 1 over per-job inference on the factory's shared
+// category model.
+TEST(RankingReference, RegistryBatchedMatchesPerJobInference) {
+  auto& f = fixture();
+  for (const double quota : {0.01, 0.05, 0.35}) {
+    SCOPED_TRACE("quota " + std::to_string(quota));
+    const std::uint64_t cap = sim::quota_capacity(f.test, quota);
+    policy::AdaptiveCategoryPolicy per_job(
+        "per-job",
+        core::make_model_provider(f.factory->shared_category_model()),
+        f.factory->adaptive_config());
+    sim::SimConfig config;
+    config.ssd_capacity_bytes = cap;
+    config.rates = f.factory->cost_model().rates();
+    config.record_outcomes = true;
+    const sim::SimResult reference = sim::simulate(f.test, per_job, config);
+    ASSERT_EQ(reference.outcomes.size(), f.test.size());
+
+    expect_result_eq(
+        sim::run_method(*f.factory, sim::MethodId::kAdaptiveRanking, f.test,
+                        cap, /*record_outcomes=*/true),
+        reference);
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk));
+      trace::GeneratedStream generated(f.cfg, chunk);
+      trace::SkipUntilStream test_stream(generated, 7.0 * kDay);
+      harness::StreamingRunOptions run;
+      run.chunk_jobs = chunk;
+      run.record_outcomes = true;
+      expect_result_eq(harness::run_method_streaming(
+                           *f.factory, sim::MethodId::kAdaptiveRanking,
+                           test_stream, f.summary, cap, run),
+                       reference);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "common/time_util.h"
@@ -335,6 +336,62 @@ TEST(TraceIo, MalformedNumberThrows) {
   auto table = to_csv(t);
   table.rows[0][table.column("lifetime")] = "not_a_number";
   EXPECT_THROW(from_csv(table), std::runtime_error);
+}
+
+// Each malformed field throws std::runtime_error naming its column instead
+// of loading a wrapped, truncated or partially parsed value.
+TEST(TraceIo, MalformedFieldTableThrows) {
+  const struct {
+    const char* column;
+    const char* value;
+  } cases[] = {
+      // A sign on an unsigned field.
+      {"job_id", "-1"},
+      {"peak_bytes", "-5"},
+      {"bytes_read", "+5"},
+      // Values that do not fit the field's type.
+      {"job_id", "18446744073709551616"},
+      {"cluster_id", "4294967297"},
+      {"buckets", "9223372036854775808"},
+      {"lifetime", "1e999"},
+      // Trailing junk, leading whitespace, an empty field.
+      {"job_id", "12abc"},
+      {"buckets", "7x"},
+      {"lifetime", "1.5s"},
+      {"records", " 3"},
+      {"arrival_time", ""},
+      // Non-finite doubles.
+      {"lifetime", "nan"},
+      {"cost_hdd", "inf"},
+      {"hist_tcio", "-inf"},
+      // A flag that is neither 0 nor 1.
+      {"framework", "yes"},
+  };
+  const Trace t = small_trace();
+  for (const auto& bad : cases) {
+    SCOPED_TRACE(std::string(bad.column) + "=" + bad.value);
+    auto table = to_csv(t);
+    table.rows[0][table.column(bad.column)] = bad.value;
+    try {
+      from_csv(table);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.column), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Negative doubles are data, not errors: generated traces carry -1 in the
+// history columns of jobs without a prior run.
+TEST(TraceIo, NegativeHistoryValuesLoad) {
+  const Trace t = small_trace();
+  auto table = to_csv(t);
+  table.rows[0][table.column("hist_tcio")] = "-1";
+  table.rows[0][table.column("hist_density")] = "-1";
+  const Trace back = from_csv(table);
+  EXPECT_EQ(back.jobs()[0].history.average_tcio, -1.0);
+  EXPECT_EQ(back.jobs()[0].history.average_io_density, -1.0);
 }
 
 }  // namespace

@@ -37,8 +37,8 @@ BenchCluster make_bench_cluster(std::uint32_t cluster_id,
 core::CategoryModelConfig bench_model_config(int categories = 15);
 
 // Precomputed per-job categories for benches that build policies outside
-// MethodFactory: one batched inference pass (CategoryModel::predict_batch)
-// shared by every simulation of a sweep.
+// MethodFactory: one batched inference pass
+// (CategoryModel::predict_categories) shared by every simulation of a sweep.
 class PrecomputedCategories {
  public:
   PrecomputedCategories(const core::CategoryModel& model,

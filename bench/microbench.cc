@@ -5,8 +5,11 @@
 // batched model inference).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -111,7 +114,7 @@ void BM_FeatureMatrixLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureMatrixLookup);
 
-// ---- event engine: typed pooled events vs the std::function escape hatch --
+// ---- event engine: SimClock vs a bench-local std::priority_queue ---------
 
 void BM_EventScheduleTyped(benchmark::State& state) {
   sim::SimClock clock;
@@ -132,22 +135,48 @@ void BM_EventScheduleTyped(benchmark::State& state) {
 }
 BENCHMARK(BM_EventScheduleTyped);
 
-void BM_EventScheduleCallback(benchmark::State& state) {
-  sim::SimClock clock;
-  clock.reserve(1024);
+// The same 40-byte POD events and push/pop pattern as BM_EventScheduleTyped,
+// on a plain std::priority_queue: the floor SimClock's heap is measured
+// against (denominator of typed_schedule_vs_std_heap_x).
+void BM_EventScheduleStdHeap(benchmark::State& state) {
+  using Handler = void (*)(void*, std::uint64_t, double);
+  struct Event {
+    double time;
+    std::uint64_t order;
+    Handler handler;
+    void* ctx;
+    std::uint64_t arg;
+  };
+  struct RunsAfter {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.order > b.order;
+    }
+  };
+  std::vector<Event> storage;
+  storage.reserve(1024);
+  std::priority_queue<Event, std::vector<Event>, RunsAfter> heap(
+      RunsAfter{}, std::move(storage));
   static std::uint64_t sink = 0;
+  const auto handler = [](void*, std::uint64_t arg, double) { sink += arg; };
+  double now = 0.0;
+  std::uint64_t seq = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
-      clock.schedule(clock.now() + static_cast<double>(i & 7),
-                     sim::SimClock::kReleasePriority,
-                     [i] { sink += static_cast<std::uint64_t>(i); });
+      heap.push(Event{now + static_cast<double>(i & 7), seq++ << 8, +handler,
+                      nullptr, static_cast<std::uint64_t>(i)});
     }
-    clock.run_all();
+    while (!heap.empty()) {
+      const Event event = heap.top();
+      heap.pop();
+      now = event.time;
+      event.handler(event.ctx, event.arg, event.time);
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 64));
 }
-BENCHMARK(BM_EventScheduleCallback);
+BENCHMARK(BM_EventScheduleStdHeap);
 
 void BM_AdaptivePolicyDecision(benchmark::State& state) {
   const auto& cluster = fixture().cluster;
@@ -180,8 +209,8 @@ void BM_SimulatorReplay(benchmark::State& state) {
 BENCHMARK(BM_SimulatorReplay);
 
 // Event-engine overhead vs the synchronous reference loop on the same
-// policy. BM_SimulatorReplay above replays through the typed pooled event
-// engine (one POD heap event per release, zero per-event allocation); the
+// policy. BM_SimulatorReplay above replays through the typed event engine
+// (one POD heap event per release, zero per-event allocation); the
 // ratio of the two is the engine's hot-path cost, tracked in
 // BENCH_microbench.json.
 void BM_SimulatorReplaySynchronous(benchmark::State& state) {
@@ -373,7 +402,8 @@ BENCHMARK(BM_InferenceBatch)->Unit(benchmark::kMillisecond);
 
 // Shared pre-extracted matrix for the kernel-level comparison below: both
 // traversals read the same rows, so the ratio isolates forest layout +
-// loop order (node-block AoS vs compiled SoA), not feature extraction.
+// loop order (per-tree walk over training nodes vs compiled SoA), not
+// feature extraction.
 const features::FeatureMatrix& inference_matrix() {
   static const features::FeatureMatrix matrix(
       fixture().cluster.factory->category_model().extractor(),
@@ -381,45 +411,33 @@ const features::FeatureMatrix& inference_matrix() {
   return matrix;
 }
 
-// The pre-compilation inference path, kept as the benchmark baseline: stage
-// a row-pointer array, run the node-block traversal (trees outer, rows
-// inner over the 40-byte training nodes), then argmax. Numerator of the
-// compiled_vs_nodeblock_x ratio.
-void BM_InferenceNodeBlock(benchmark::State& state) {
-  const auto& model = fixture().cluster.factory->category_model();
-  const auto& classifier = model.classifier();
+// The reference oracle as a baseline: the plain per-tree walk
+// (GbdtClassifier::reference_scores) over each job's matrix row, then
+// argmax. Numerator of the compiled_vs_reference_x ratio.
+void BM_InferenceReference(benchmark::State& state) {
+  const auto& classifier =
+      fixture().cluster.factory->category_model().classifier();
   const auto& jobs = inference_jobs();
   const auto& matrix = inference_matrix();
   const auto k = static_cast<std::size_t>(classifier.num_classes());
-  std::vector<double> scores(jobs.size() * k);
+  std::vector<double> scores(k);
   for (auto _ : state) {
-    std::vector<const float*> rows(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      rows[i] = matrix.find(jobs[i].job_id);
-    }
-    classifier.scores_batch_nodeblock(rows.data(), rows.size(),
-                                      scores.data());
     int acc = 0;
-    for (std::size_t r = 0; r < jobs.size(); ++r) {
-      const double* row = scores.data() + r * k;
-      int best = 0;
-      for (std::size_t c = 1; c < k; ++c) {
-        if (row[c] > row[static_cast<std::size_t>(best)]) {
-          best = static_cast<int>(c);
-        }
-      }
-      acc += best;
+    for (const auto& job : jobs) {
+      classifier.reference_scores(matrix.find(job.job_id), scores.data());
+      acc += static_cast<int>(
+          std::max_element(scores.begin(), scores.end()) - scores.begin());
     }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * jobs.size()));
 }
-BENCHMARK(BM_InferenceNodeBlock)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InferenceReference)->Unit(benchmark::kMillisecond);
 
 // The production batch path end to end: gather_feature_block over the
 // shared matrix + compiled flat-forest kernel. Denominator of
-// compiled_vs_nodeblock_x.
+// compiled_vs_reference_x.
 void BM_InferenceCompiled(benchmark::State& state) {
   const auto& model = fixture().cluster.factory->category_model();
   const auto& jobs = inference_jobs();

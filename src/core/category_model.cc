@@ -88,20 +88,8 @@ int CategoryModel::true_category(const trace::Job& job) const {
   return labeler_.category_of(job);
 }
 
-std::vector<int> CategoryModel::predict_batch(
-    common::Span<const FeatureRow> rows) const {
-  std::vector<const float*> pointers(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) pointers[i] = rows[i].values;
-  return classifier_.predict_batch(pointers.data(), pointers.size());
-}
-
 std::vector<int> CategoryModel::predict_block(const FeatureBlock& block) const {
   return classifier_.predict_batch(block.base, block.stride, block.num_rows);
-}
-
-std::vector<int> CategoryModel::predict_categories(
-    const std::vector<trace::Job>& jobs) const {
-  return predict_categories(jobs, nullptr);
 }
 
 std::vector<int> CategoryModel::predict_categories(
@@ -143,6 +131,21 @@ CategoryModel CategoryModel::load(std::istream& in) {
   CategoryModel model;
   model.labeler_ = CategoryLabeler::load(in);
   model.classifier_ = ml::GbdtClassifier::load(in);
+  if (model.classifier_.num_classes() != model.labeler_.num_categories()) {
+    throw std::runtime_error(
+        "CategoryModel::load: classifier class count differs from the "
+        "labeler's category count");
+  }
+  const std::size_t width = model.extractor_.num_features();
+  for (const auto& tree : model.classifier_.trees()) {
+    for (const auto& node : tree.nodes()) {
+      if (!node.leaf && static_cast<std::size_t>(node.feature) >= width) {
+        throw std::runtime_error(
+            "CategoryModel::load: split feature outside the extractor's "
+            "schema");
+      }
+    }
+  }
   return model;
 }
 

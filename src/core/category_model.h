@@ -17,14 +17,6 @@
 
 namespace byom::core {
 
-// One pre-extracted feature vector, as consumed by the caller-staged
-// batched inference path. `values` must point at
-// extractor().num_features() floats that stay alive for the duration of
-// the predict_batch call.
-struct FeatureRow {
-  const float* values = nullptr;
-};
-
 // One contiguous strided block of feature rows: row r of the batch starts
 // at base + r * stride. This is what the compiled flat-forest kernel
 // consumes — no per-row pointer staging.
@@ -69,23 +61,17 @@ class CategoryModel {
   // Ground-truth category from post-execution measurements.
   int true_category(const trace::Job& job) const;
 
-  // Batched inference over caller-staged feature rows. Bit-identical to
-  // calling predict_category per row; routed through the compiled
-  // flat-forest kernel.
-  std::vector<int> predict_batch(common::Span<const FeatureRow> rows) const;
-  // Batched inference over one contiguous strided feature block — the
-  // zero-staging fast path the gatherer above produces.
+  // Batched inference over one contiguous strided feature block (what the
+  // gatherer above produces) through the compiled flat-forest kernel.
+  // Bit-identical to calling predict_category per row.
   std::vector<int> predict_block(const FeatureBlock& block) const;
-  // Convenience: extracts features for every job, then predicts in one
-  // batch. This is the sweep/serving fast path.
-  std::vector<int> predict_categories(
-      const std::vector<trace::Job>& jobs) const;
-  // Same, reading rows out of a shared pre-extracted matrix (jobs outside
-  // the matrix, or a schema-mismatched matrix, fall back to extraction).
-  // Bit-identical to the overload above.
+  // Convenience: gathers every job's feature row, then predicts in one
+  // block. Rows come out of `matrix` when given (jobs outside it, or a
+  // schema-mismatched matrix, fall back to extraction); the classes do not
+  // depend on whether it is. This is the sweep/serving fast path.
   std::vector<int> predict_categories(
       const std::vector<trace::Job>& jobs,
-      const features::FeatureMatrix* matrix) const;
+      const features::FeatureMatrix* matrix = nullptr) const;
 
   // Top-1 accuracy of the model on a held-out population.
   double top1_accuracy(const std::vector<trace::Job>& test_jobs) const;
@@ -94,6 +80,10 @@ class CategoryModel {
   const CategoryLabeler& labeler() const { return labeler_; }
   const ml::GbdtClassifier& classifier() const { return classifier_; }
 
+  // load() throws std::runtime_error on a malformed labeler or classifier
+  // (see ml::GbdtClassifier::load), a split on a feature the extractor's
+  // schema does not have, or a class count that differs from the
+  // labeler's category count.
   void save(std::ostream& out) const;
   static CategoryModel load(std::istream& in);
   void save_file(const std::string& path) const;

@@ -48,8 +48,8 @@ namespace byom::core {
 class CategoryModel;  // core/category_model.h
 
 // Precomputed per-job category hints (job_id -> category), typically filled
-// by one CategoryModel::predict_batch pass so the online decision loop never
-// touches the model.
+// by one batched inference pass (core::precompute_categories) so the online
+// decision loop never touches the model.
 using CategoryHints = std::unordered_map<std::uint64_t, int>;
 
 class CategoryProvider {

@@ -12,21 +12,16 @@
 namespace byom::core {
 
 std::vector<int> ModelBackend::predict_batch(
-    common::Span<const trace::Job* const> jobs) const {
+    common::Span<const trace::Job* const> jobs,
+    const features::FeatureMatrix* /*matrix*/) const {
+  // Backends that do not consume Table-2 features (the frequency table)
+  // have nothing to gain from the matrix.
   std::vector<int> categories;
   categories.reserve(jobs.size());
   for (const trace::Job* job : jobs) {
     categories.push_back(predict_category(*job));
   }
   return categories;
-}
-
-std::vector<int> ModelBackend::predict_batch(
-    common::Span<const trace::Job* const> jobs,
-    const features::FeatureMatrix* /*matrix*/) const {
-  // Backends that do not consume Table-2 features (the frequency table)
-  // have nothing to gain from the matrix: identical to the plain batch.
-  return predict_batch(jobs);
 }
 
 std::vector<int> ModelBackend::predict_batch(
@@ -68,16 +63,10 @@ class GbdtBackend final : public ModelBackend {
   }
 
   // The compiled flat-forest batched traversal; bit-identical to per-job
-  // prediction by CategoryModel's own contract.
-  std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs) const override {
-    return predict_batch(jobs, nullptr);
-  }
-
-  // With a shared matrix, the gatherer aliases the contiguous matrix block
-  // when the jobs resolve to consecutive rows (zero copies) and otherwise
-  // packs one scratch block sized once; either way the compiled kernel
-  // reads a strided block — no per-row pointer staging.
+  // prediction by CategoryModel's own contract. With a shared matrix, the
+  // gatherer aliases the contiguous matrix block when the jobs resolve to
+  // consecutive rows (zero copies) and otherwise packs one scratch block
+  // sized once; either way the compiled kernel reads a strided block.
   std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs,
       const features::FeatureMatrix* matrix) const override {
@@ -172,11 +161,6 @@ class LogisticBackend final : public ModelBackend {
     extractor_.extract_into(job, common::Span<float>(x.data(), x.size()));
     std::vector<double> logits(static_cast<std::size_t>(num_categories_));
     return predict_in_place(x.data(), logits.data());
-  }
-
-  std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs) const override {
-    return predict_batch(jobs, nullptr);
   }
 
   // Batched path with one reused scratch row: matrix rows (immutable,

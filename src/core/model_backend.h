@@ -45,20 +45,15 @@ class ModelBackend {
 
   // Batched inference over a group of jobs (the serving fast path). Must be
   // bit-identical to calling predict_category per job; the default
-  // implementation is exactly that loop. Backends with a cheaper batch
-  // layout (the GBDT's compiled flat-forest kernel) override it.
-  virtual std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs) const;
-
-  // Same, with a shared pre-extracted feature matrix. `matrix` may be null
-  // (plain predict_batch); feature-driven backends override this to read
-  // the matrix's contiguous rows (by job id) instead of re-extracting, and
-  // fall back to extraction for jobs outside the matrix or when the matrix
-  // width does not match their extractor's schema. Must be bit-identical to
-  // predict_batch without the matrix.
+  // implementation is exactly that loop. `matrix` is an optional shared
+  // pre-extracted feature matrix: feature-driven backends (the GBDT's
+  // compiled flat-forest kernel, the logistic model) override this to read
+  // its rows by job id instead of re-extracting, falling back to
+  // extraction for jobs outside it or when its width does not match their
+  // extractor's schema. The result never depends on whether it is given.
   virtual std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs,
-      const features::FeatureMatrix* matrix) const;
+      const features::FeatureMatrix* matrix = nullptr) const;
 
   // Convenience for callers holding a materialized vector.
   std::vector<int> predict_batch(const std::vector<trace::Job>& jobs) const;

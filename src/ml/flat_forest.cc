@@ -6,7 +6,6 @@
 
 namespace byom::ml {
 
-// Appends one node slot to the SoA arena and returns its index.
 namespace {
 constexpr std::int32_t kMaxFeature = 0xFFFF;
 }  // namespace
@@ -29,8 +28,8 @@ int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
   *depth = 0;
   if (nodes.empty()) {
     // A default-constructed tree predicts 0.0; a 0.0 leaf contributes
-    // scale * 0.0, which cannot change any finite accumulator, so the
-    // reference paths (which skip empty trees) stay bit-identical.
+    // scale * 0.0, which cannot change any finite accumulator, so scores
+    // stay bit-identical to the per-tree reference walk.
     seal_leaf(root, 0.0);
     return root;
   }
@@ -131,8 +130,9 @@ void FlatForest::score_into(const float* row, double* out) const {
       std::int32_t idx = roots_[j];
       std::int32_t l = child[idx];
       while (l >= 0) {
-        // !(x <= thr) rather than (x > thr): identical to the reference
-        // node-block traversal for every input, NaN included.
+        // !(x <= thr) rather than (x > thr): identical to
+        // RegressionTree::predict's `x <= thr ? left : right` for every
+        // input, NaN included.
         idx = l + static_cast<std::int32_t>(!(row[feat[idx]] <= thr[idx]));
         l = child[idx];
       }
@@ -151,7 +151,7 @@ void FlatForest::score_into(const float* row, double* out) const {
 // always in bounds), so the level loop runs a fixed depth_[j] trips with
 // no data-dependent branch — 64 independent walks per stream instead of
 // one serial pointer chase. Per-accumulator addition order equals the
-// node-block reference, so scores are bit-identical.
+// per-tree reference walk, so scores are bit-identical.
 void FlatForest::score_strided(const float* base, std::size_t row_stride,
                                std::size_t n, double* out) const {
   const auto k = static_cast<std::size_t>(num_classes_);
@@ -187,51 +187,6 @@ void FlatForest::score_strided(const float* base, std::size_t row_stride,
           }
           // One predictable branch per level: once every row in the block
           // is parked on a leaf the remaining levels are all no-ops.
-          if (any_live == 0) break;
-        }
-        double* acc = out + r0 * k + c;
-        for (std::size_t r = 0; r < nb; ++r, acc += k) {
-          *acc += scale * leaf[-child[idx[r]] - 1];
-        }
-      }
-    }
-  }
-}
-
-// hotpath: compiled blocked batch scoring over caller-staged row pointers
-// (the non-contiguous fallback); same blocking, level-stepping, and
-// accumulation order as score_strided.
-void FlatForest::score_rows(const float* const* rows, std::size_t n,
-                            double* out) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  std::fill(out, out + n * k, base_score_);
-  const float* const thr = threshold_.data();
-  const std::uint16_t* const feat = feature_.data();
-  const std::int32_t* const child = left_.data();
-  const double* const leaf = leaf_value_.data();
-  const double scale = learning_rate_;
-  std::int32_t idx[kRowBlock];
-  for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
-    const std::size_t nb = std::min(n - r0, kRowBlock);
-    const float* const* const block = rows + r0;
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::uint32_t j = class_offset_[c]; j < class_offset_[c + 1];
-           ++j) {
-        const std::int32_t root = roots_[j];
-        for (std::size_t r = 0; r < nb; ++r) idx[r] = root;
-        for (std::uint16_t d = 0; d < depth_[j]; ++d) {
-          std::int32_t any_live = 0;
-          for (std::size_t r = 0; r < nb; ++r) {
-            const std::int32_t i = idx[r];
-            const std::int32_t l = child[i];
-            const std::int32_t step =
-                l + static_cast<std::int32_t>(
-                        !(block[r][feat[i]] <= thr[i]));
-            // Sign-mask select + early level exit; see score_strided.
-            const std::int32_t live = ~(l >> 31);
-            any_live |= live;
-            idx[r] = i + ((step - i) & live);
-          }
           if (any_live == 0) break;
         }
         double* acc = out + r0 * k + c;

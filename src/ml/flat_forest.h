@@ -2,11 +2,10 @@
 //
 // The training-side RegressionTree stores 40-byte heterogeneous nodes
 // (bool + int feature + float threshold + two child ints + double leaf
-// value) in per-tree std::vectors; batch inference walks them by
-// pointer-chasing with a data-dependent leaf branch per node. That layout
-// is right for building trees and wrong for serving them: every node visit
-// drags a whole cache line of mostly-unused fields, and the forest for one
-// model is scattered across hundreds of allocations.
+// value) in per-tree std::vectors. That layout is right for building trees
+// and wrong for serving them: every node visit drags a whole cache line of
+// mostly-unused fields, and the forest for one model is scattered across
+// hundreds of allocations.
 //
 // FlatForest re-lays the whole forest out once, at train()/load() time,
 // into one contiguous SoA arena:
@@ -20,20 +19,21 @@
 // Trees are re-numbered breadth-first so the two children of any internal
 // node occupy adjacent slots: the traversal step becomes the branch-light
 //   idx = left + (x[feature] > threshold)
-// (spelled !(x <= threshold) so NaN handling matches the reference
-// traversal exactly), and the only branch left is the leaf test. Roots are
-// grouped per class, in boosting order within the class, so per-accumulator
-// addition order — and therefore every score bit — is identical to the
-// node-block reference GbdtClassifier::scores_batch_nodeblock.
+// spelled !(x <= threshold), so every input — NaN and +-inf included —
+// takes the same branch as RegressionTree::predict. Roots are grouped per
+// class, in boosting order within the class, so each accumulator sums the
+// same terms in the same order as the plain per-tree walk
+// (GbdtClassifier::reference_scores, GbdtRegressor::reference_predict):
+// every score bit is identical to that oracle.
 //
-// The batch kernels are blocked AND depth-stepped: row blocks of kRowBlock
-// rows stay hot in L1 while the whole arena streams through once per block
-// (instead of the node-block scheme streaming the full feature set once
-// per tree), and each tree is walked depth-level by depth-level across the
-// whole block with a branch-free conditional-move step (rows parked on a
-// leaf stay parked). A single row's walk is a serial chain of dependent
-// loads; stepping 64 independent walks per instruction stream hides that
-// latency and removes the per-row loop-exit mispredict.
+// There is one kernel per shape. score_into walks one row; score_strided
+// is blocked AND depth-stepped: row blocks of kRowBlock rows stay hot in
+// L1 while the whole arena streams through once per block, and each tree
+// is walked depth-level by depth-level across the whole block with a
+// branch-free conditional-move step (rows parked on a leaf stay parked).
+// A single row's walk is a serial chain of dependent loads; stepping 64
+// independent walks per instruction stream hides that latency and removes
+// the per-row loop-exit mispredict.
 #pragma once
 
 #include <cstdint>
@@ -68,19 +68,14 @@ class FlatForest {
   std::size_t num_leaves() const { return leaf_value_.size(); }
 
   // Raw per-class scores for one row: out[0 .. num_classes). Bit-identical
-  // to GbdtClassifier::scores(); allocation-free.
+  // to the per-tree reference walk; allocation-free.
   void score_into(const float* row, double* out) const;
 
   // Blocked batch scoring over n rows read straight off a contiguous
   // strided block (row r at base + r * row_stride); fills
-  // out[r * num_classes + k]. Bit-identical to the node-block reference.
+  // out[r * num_classes + k]. Bit-identical to score_into per row.
   void score_strided(const float* base, std::size_t row_stride,
                      std::size_t n, double* out) const;
-
-  // Same kernel over caller-staged row pointers (rows that do not live in
-  // one contiguous block).
-  void score_rows(const float* const* rows, std::size_t n,
-                  double* out) const;
 
  private:
   // Compiles one tree into the arena; returns its root slot and writes the

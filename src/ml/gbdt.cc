@@ -68,7 +68,11 @@ void GbdtClassifier::train(const Dataset& data, const std::vector<int>& labels,
 
   const std::size_t n = data.num_rows();
   const auto k = static_cast<std::size_t>(num_classes);
-  if (n == 0) return;
+  if (n == 0) {
+    // Still recompile: the forest must drop the previous model's trees.
+    recompile();
+    return;
+  }
 
   const Binner binner = Binner::fit(data, params.max_bins);
   const auto codes = binner.transform(data);
@@ -119,10 +123,8 @@ void GbdtClassifier::recompile() {
 std::size_t GbdtClassifier::num_trees() const { return trees_.size(); }
 
 std::vector<double> GbdtClassifier::scores(const float* features) const {
-  std::vector<double> out(static_cast<std::size_t>(num_classes_), 0.0);
-  if (forest_.compiled()) {
-    forest_.score_into(features, out.data());
-  }
+  std::vector<double> out(static_cast<std::size_t>(num_classes_));
+  forest_.score_into(features, out.data());
   return out;
 }
 
@@ -150,27 +152,16 @@ int GbdtClassifier::predict(const float* features) const {
   return static_cast<int>(std::max_element(buf, buf + k) - buf);
 }
 
-void GbdtClassifier::scores_batch(const float* const* rows, std::size_t n,
-                                  double* out) const {
-  if (!forest_.compiled()) {
-    scores_batch_nodeblock(rows, n, out);
-    return;
-  }
-  forest_.score_rows(rows, n, out);
-}
-
 void GbdtClassifier::scores_batch(const float* base, std::size_t row_stride,
                                   std::size_t n, double* out) const {
   forest_.score_strided(base, row_stride, n, out);
 }
 
-void GbdtClassifier::scores_batch_nodeblock(const float* const* rows,
-                                            std::size_t n,
-                                            double* out) const {
+void GbdtClassifier::reference_scores(const float* row, double* out) const {
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::fill(out, out + n * k, 0.0);
+  std::fill(out, out + k, 0.0);
   for (std::size_t t = 0; t < trees_.size(); ++t) {
-    trees_[t].predict_many(rows, n, learning_rate_, out + t % k, k);
+    out[t % k] += learning_rate_ * trees_[t].predict(row);
   }
 }
 
@@ -189,14 +180,6 @@ std::vector<int> argmax_rows(const double* scores, std::size_t n,
 }
 
 }  // namespace
-
-std::vector<int> GbdtClassifier::predict_batch(const float* const* rows,
-                                               std::size_t n) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> scores(n * k);
-  scores_batch(rows, n, scores.data());
-  return argmax_rows(scores.data(), n, k);
-}
 
 std::vector<int> GbdtClassifier::predict_batch(const float* base,
                                                std::size_t row_stride,
@@ -221,10 +204,22 @@ GbdtClassifier GbdtClassifier::load(std::istream& in) {
     throw std::runtime_error("GbdtClassifier::load: bad header");
   }
   GbdtClassifier model;
-  std::size_t num_trees = 0;
+  long long num_trees = -1;
   in >> model.num_classes_ >> num_trees >> model.learning_rate_;
-  model.trees_.reserve(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
+  if (!in) throw std::runtime_error("GbdtClassifier::load: truncated header");
+  if (model.num_classes_ < 0 || num_trees < 0) {
+    throw std::runtime_error("GbdtClassifier::load: negative count");
+  }
+  if (model.num_classes_ == 0 ? num_trees != 0
+                              : num_trees % model.num_classes_ != 0) {
+    throw std::runtime_error(
+        "GbdtClassifier::load: tree count is not a multiple of the class "
+        "count");
+  }
+  if (!std::isfinite(model.learning_rate_)) {
+    throw std::runtime_error("GbdtClassifier::load: non-finite learning rate");
+  }
+  for (long long i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }
   model.recompile();
@@ -261,6 +256,7 @@ void GbdtRegressor::train(const Dataset& data,
   const std::size_t n = data.num_rows();
   if (n == 0) {
     base_ = 0.0;
+    recompile();  // drop the previous model's compiled trees
     return;
   }
   double sum = 0.0;
@@ -292,13 +288,12 @@ void GbdtRegressor::recompile() {
 }
 
 double GbdtRegressor::predict(const float* features) const {
-  if (!forest_.compiled()) return predict_nodeblock(features);
   double out = 0.0;
   forest_.score_into(features, &out);
   return out;
 }
 
-double GbdtRegressor::predict_nodeblock(const float* features) const {
+double GbdtRegressor::reference_predict(const float* features) const {
   double out = base_;
   for (const auto& t : trees_) out += learning_rate_ * t.predict(features);
   return out;
@@ -306,12 +301,6 @@ double GbdtRegressor::predict_nodeblock(const float* features) const {
 
 void GbdtRegressor::predict_batch(const float* base, std::size_t row_stride,
                                   std::size_t n, double* out) const {
-  if (!forest_.compiled()) {
-    for (std::size_t r = 0; r < n; ++r) {
-      out[r] = predict_nodeblock(base + r * row_stride);
-    }
-    return;
-  }
   forest_.score_strided(base, row_stride, n, out);
 }
 
@@ -329,10 +318,17 @@ GbdtRegressor GbdtRegressor::load(std::istream& in) {
     throw std::runtime_error("GbdtRegressor::load: bad header");
   }
   GbdtRegressor model;
-  std::size_t num_trees = 0;
+  long long num_trees = -1;
   in >> num_trees >> model.base_ >> model.learning_rate_;
-  model.trees_.reserve(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
+  if (!in) throw std::runtime_error("GbdtRegressor::load: truncated header");
+  if (num_trees < 0) {
+    throw std::runtime_error("GbdtRegressor::load: negative tree count");
+  }
+  if (!std::isfinite(model.base_) || !std::isfinite(model.learning_rate_)) {
+    throw std::runtime_error(
+        "GbdtRegressor::load: non-finite base or learning rate");
+  }
+  for (long long i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }
   model.recompile();

@@ -46,38 +46,35 @@ class GbdtClassifier {
   std::vector<double> predict_proba(const float* features) const;
   int predict(const float* features) const;
 
-  // Zero-allocation single-row scoring through the compiled forest:
-  // fills out[0 .. num_classes()) with the raw per-class scores,
-  // bit-identical to scores().
+  // Zero-allocation single-row scoring: fills out[0 .. num_classes()) with
+  // the raw per-class scores, bit-identical to scores().
   void scores_into(const float* features, double* out) const;
 
-  // Batched inference over n feature rows through the compiled FlatForest
-  // (blocked SoA traversal; see ml/flat_forest.h). Produces exactly the
-  // same classes as per-row predict() and scores bit-identical to the
-  // node-block reference below. scores_batch fills
-  // out[r * num_classes() + k]; out must hold n * num_classes() doubles.
-  void scores_batch(const float* const* rows, std::size_t n,
-                    double* out) const;
-  std::vector<int> predict_batch(const float* const* rows,
-                                 std::size_t n) const;
-  // Strided overloads reading row r at base + r * row_stride — the
-  // zero-staging path for contiguous feature blocks (FeatureMatrix
-  // storage, gathered scratch blocks).
+  // Batched inference over n rows of a contiguous strided block (row r at
+  // base + r * row_stride: FeatureMatrix storage, gathered scratch
+  // blocks). scores_batch fills out[r * num_classes() + k]; out must hold
+  // n * num_classes() doubles. Scores are bit-identical to scores_into per
+  // row, classes to predict().
   void scores_batch(const float* base, std::size_t row_stride, std::size_t n,
                     double* out) const;
   std::vector<int> predict_batch(const float* base, std::size_t row_stride,
                                  std::size_t n) const;
 
-  // The original node-block tree traversal (trees outer, rows inner over
-  // the 40-byte training nodes), kept as the bit-identity reference oracle
-  // for the compiled kernels — the same role simulate_synchronous plays
-  // for the event engine.
-  void scores_batch_nodeblock(const float* const* rows, std::size_t n,
-                              double* out) const;
+  // Reference oracle: the plain per-tree RegressionTree::predict walk in
+  // boosting order, out[t % k] += learning_rate * tree_t(row) over a
+  // zeroed out[0 .. num_classes()). Every path above runs the compiled
+  // FlatForest; this one exists so tests can check those kernels against
+  // the forest's semantics exactly. Not for production paths.
+  void reference_scores(const float* row, double* out) const;
 
   const FlatForest& compiled_forest() const { return forest_; }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
   // Text (de)serialization; the format is stable and human-inspectable.
+  // load() throws std::runtime_error on a truncated stream, a negative
+  // class count, a tree count that is not a multiple of the class count
+  // (classes == 0 is allowed only with no trees: the untrained model), a
+  // non-finite learning rate, or a malformed tree (RegressionTree::load).
   void save(std::ostream& out) const;
   static GbdtClassifier load(std::istream& in);
   void save_file(const std::string& path) const;
@@ -93,7 +90,9 @@ class GbdtClassifier {
   double learning_rate_ = 0.15;
   // trees_[round * num_classes_ + k]
   std::vector<RegressionTree> trees_;
-  // Compiled once per train()/load(); all inference routes through it.
+  // Recompiled on every train()/load() exit; all inference routes through
+  // it. Uncompiled (no classes) only while the model is untrained, when
+  // scores are empty.
   FlatForest forest_;
 };
 
@@ -109,15 +108,17 @@ class GbdtRegressor {
   double predict(const float* features) const;
   std::size_t num_trees() const { return trees_.size(); }
 
-  // Compiled batch prediction over a contiguous strided block: fills
-  // out[0 .. n) with per-row predictions, bit-identical to predict().
+  // Batch prediction over a contiguous strided block: fills out[0 .. n)
+  // with per-row predictions, bit-identical to predict().
   void predict_batch(const float* base, std::size_t row_stride,
                      std::size_t n, double* out) const;
 
-  // The original per-tree accumulation loop, kept as the bit-identity
-  // reference oracle for the compiled path.
-  double predict_nodeblock(const float* features) const;
+  // Reference oracle: base + the per-tree walk, summed in boosting order.
+  // Tests only, like GbdtClassifier::reference_scores.
+  double reference_predict(const float* features) const;
 
+  // load() throws std::runtime_error on a truncated stream, a negative
+  // tree count, a non-finite base or learning rate, or a malformed tree.
   void save(std::ostream& out) const;
   static GbdtRegressor load(std::istream& in);
 
@@ -127,7 +128,9 @@ class GbdtRegressor {
   double base_ = 0.0;
   double learning_rate_ = 0.15;
   std::vector<RegressionTree> trees_;
-  FlatForest forest_;
+  // The single-class forest seeded with base_; compiled from construction
+  // on, so an untrained regressor predicts base_ (0) through it.
+  FlatForest forest_ = FlatForest::compile({}, 1, 0.0);
 };
 
 }  // namespace byom::ml

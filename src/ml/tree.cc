@@ -141,23 +141,6 @@ double RegressionTree::predict(const float* features) const {
   return nodes_[i].value;
 }
 
-void RegressionTree::predict_many(const float* const* rows, std::size_t n,
-                                  double scale, double* out,
-                                  std::size_t out_stride) const {
-  if (nodes_.empty()) return;
-  const Node* nodes = nodes_.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    const float* features = rows[r];
-    std::size_t i = 0;
-    while (!nodes[i].leaf) {
-      const Node& node = nodes[i];
-      i = static_cast<std::size_t>(
-          features[node.feature] <= node.threshold ? node.left : node.right);
-    }
-    out[r * out_stride] += scale * nodes[i].value;
-  }
-}
-
 int RegressionTree::depth() const {
   // Iterative depth computation over the implicit tree structure.
   if (nodes_.empty()) return 0;
@@ -185,14 +168,28 @@ void RegressionTree::save(std::ostream& out) const {
 }
 
 RegressionTree RegressionTree::load(std::istream& in) {
-  RegressionTree tree;
-  std::size_t count = 0;
+  long long count = -1;
   in >> count;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
-    in >> n.leaf >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
+  if (!in || count < 0) {
+    throw std::runtime_error("RegressionTree::load: bad node count");
   }
-  if (!in) throw std::runtime_error("RegressionTree::load: malformed input");
+  RegressionTree tree;
+  for (long long i = 0; i < count; ++i) {
+    Node n;
+    in >> n.leaf >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
+    if (!in) throw std::runtime_error("RegressionTree::load: malformed input");
+    if (!n.leaf) {
+      if (n.feature < 0) {
+        throw std::runtime_error(
+            "RegressionTree::load: negative split feature");
+      }
+      if (n.left <= i || n.left >= count || n.right <= i || n.right >= count) {
+        throw std::runtime_error(
+            "RegressionTree::load: child index outside (node, count)");
+      }
+    }
+    tree.nodes_.push_back(n);
+  }
   return tree;
 }
 

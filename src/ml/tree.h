@@ -44,18 +44,16 @@ class RegressionTree {
   // Predicts from raw (unbinned) feature values.
   double predict(const float* features) const;
 
-  // Node-block batch traversal: accumulates scale * predict(rows[i]) into
-  // out[i * out_stride] for all n rows. Walking the whole batch through one
-  // tree keeps its node array hot in cache, unlike per-row prediction that
-  // streams every tree's nodes for every row.
-  void predict_many(const float* const* rows, std::size_t n, double scale,
-                    double* out, std::size_t out_stride) const;
-
   std::size_t num_nodes() const { return nodes_.size(); }
   const std::vector<Node>& nodes() const { return nodes_; }
   int depth() const;
 
-  // Text (de)serialization: one line per node.
+  // Text (de)serialization: one line per node. load() throws
+  // std::runtime_error on a truncated stream, a negative node count, a
+  // negative split feature, or a child index outside (parent, count) —
+  // build() always allocates a parent before its children, so every
+  // trained tree satisfies the last check and predict() cannot loop or
+  // read past the node array.
   void save(std::ostream& out) const;
   static RegressionTree load(std::istream& in);
 

@@ -1,6 +1,6 @@
 // Batcher — the middle stage of the serving loop. Pulls inference requests
 // off an InferenceRequestQueue and flushes them into a batch-execution
-// callback (in production: CategoryModel::predict_batch via the
+// callback (in production: ModelBackend::predict_batch via the
 // PlacementService) on either of two triggers:
 //
 //   * size:     the batch reached `max_batch` requests (amortizes the

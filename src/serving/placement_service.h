@@ -52,7 +52,7 @@
 //     1: simulation cells stay on the single-lane, bit-reproducible path.
 //
 // Category values are produced by the same registry-grouped
-// CategoryModel::predict_batch pass as the offline path
+// ModelBackend::predict_batch pass as the offline path
 // (core::precompute_categories) — per-job hints are independent of batch
 // composition — so served hints are bit-identical to offline-batched hints
 // whenever every request completes in time, at any shard count.

@@ -7,29 +7,26 @@
 // arrive *after* the placement decision that wanted it, and the whole run
 // stays bit-reproducible regardless of host speed or thread count.
 //
-// Event representation: the hot path schedules *typed* events — a 40-byte
-// POD carrying a flat trampoline (plain function pointer), a context
-// pointer, one payload word (released bytes, job id, ...), and a packed
-// (priority, sequence, kind) ordering key — pushed into a contiguous 4-ary
-// min-heap. Scheduling is a push into a flat arena: no std::function
-// construction, no per-event heap allocation, no virtual dispatch. The
-// std::function overload `schedule(time, fn)` is kept as an escape hatch
-// for tests and one-off callers; its closures live in a pooled free-list of
-// slots and are dispatched through the same typed heap, so mixing the two
-// keeps the global event order.
+// Event representation: every event is a 40-byte POD carrying a flat
+// trampoline (plain function pointer), a context pointer, one payload word
+// (released bytes, job id, ...), and a packed (priority, sequence, kind)
+// ordering key, kept in a std::vector heap driven by std::push_heap /
+// std::pop_heap. Scheduling is one POD push: no std::function, no per-event
+// heap allocation, no virtual dispatch.
 //
 // Determinism contract: events execute in (time, priority, sequence) order.
 // `priority` breaks ties at equal timestamps between event kinds (capacity
 // releases before retrains before hint deliveries before arrivals — the
 // order the synchronous reference simulator implies; priorities must fit in
 // [0, 255]), and the monotonically increasing sequence number breaks the
-// remaining ties by schedule order. Nothing about execution depends on
-// wall-clock time or scheduling jitter.
+// remaining ties by schedule order. Sequence numbers are unique, so this is
+// a strict total order: any correct heap pops the same sequence. Nothing
+// about execution depends on wall-clock time or scheduling jitter.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -43,7 +40,6 @@ namespace byom::sim {
 // clock; the reference simulator runs one clock on one thread).
 class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
  public:
-  using EventFn = std::function<void()>;
   // Typed-event trampoline: `ctx` is the scheduling subsystem's own object
   // (simulation engine, placement service, ...), `arg` one payload word,
   // `time` the virtual instant the event was scheduled to fire at.
@@ -56,7 +52,6 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
     kRelease,       // SSD capacity released at a job's eviction/end time
     kRetrain,       // model retrain instant on the staleness schedule
     kHintReady,     // a served category hint becomes visible to consumers
-    kCallback,      // pooled std::function escape hatch
   };
 
   // Tie-break ranks for events scheduled at the same virtual time. Lower
@@ -81,24 +76,18 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
 
   // Schedules a typed event at virtual `time` (clamped to now() — an event
   // scheduled in the past fires "immediately", at the current time).
-  // Zero-allocation in steady state: one POD push into the flat heap.
-  // Returns the event's sequence number. Inline (with the heap ops below):
-  // the replay loop schedules and pops one event per job, so the whole
-  // push/sift/pop cycle must inline into the caller.
+  // Zero-allocation in steady state: one POD push into the heap. Returns
+  // the event's sequence number. Throws std::invalid_argument on a null
+  // handler or a priority outside [0, 255]. Inline (with the heap ops
+  // below): the replay loop schedules and pops one event per job, so the
+  // whole push/pop cycle must inline into the caller.
   std::uint64_t schedule_typed(double time, int priority, EventKind kind,
                                Handler handler, void* ctx,
                                std::uint64_t arg = 0);
 
-  // Escape hatch: schedules an arbitrary closure through the pooled
-  // free-list (tests, one-off callers). Same heap, same ordering contract.
-  std::uint64_t schedule(double time, int priority, EventFn fn);
-  std::uint64_t schedule(double time, EventFn fn) {
-    return schedule(time, kDefaultPriority, std::move(fn));
-  }
-
-  // Pre-sizes the event arena (heap + closure pool) so a replay of known
-  // size never reallocates mid-run.
-  void reserve(std::size_t events);
+  // Pre-sizes the event heap so a replay of known size never reallocates
+  // mid-run.
+  void reserve(std::size_t events) { heap_.reserve(events); }
 
   // Pops and runs the earliest pending event, advancing now() to its time.
   // Returns false when no events are pending.
@@ -123,7 +112,11 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
 
   // Runs events until none are pending (events may schedule further
   // events). Returns the number executed.
-  std::size_t run_all();
+  std::size_t run_all() {
+    std::size_t executed = 0;
+    while (run_next()) ++executed;
+    return executed;
+  }
 
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t processed() const { return processed_; }
@@ -143,51 +136,21 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
   static constexpr int kPriorityShift = 56;
   static constexpr int kSeqShift = 8;
 
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.order < b.order;
-  }
-
-  // 4-ary min-heap over the flat event vector: shallower than a binary
-  // heap and cache-friendlier for the POD events the replay hot loop
-  // pushes/pops once per job.
-  void sift_up(std::size_t index) {
-    const Event event = heap_[index];
-    while (index > 0) {
-      const std::size_t parent = (index - 1) >> 2;
-      if (!earlier(event, heap_[parent])) break;
-      heap_[index] = heap_[parent];
-      index = parent;
+  // Heap comparator: "a runs after b" on (time, order), so the std heap
+  // keeps the earliest event at front(). A functor, not a function
+  // pointer, so the comparisons inline into push_heap/pop_heap.
+  struct RunsAfter {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.order > b.order;
     }
-    heap_[index] = event;
-  }
-
-  void sift_down_from_root() {
-    const std::size_t n = heap_.size();
-    const Event event = heap_[0];
-    std::size_t index = 0;
-    for (;;) {
-      const std::size_t first_child = (index << 2) + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t last_child =
-          first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], event)) break;
-      heap_[index] = heap_[best];
-      index = best;
-    }
-    heap_[index] = event;
-  }
+  };
 
   // hotpath: heap pop runs once per event; POD moves only.
   Event pop_front() {
-    const Event front = heap_[0];
-    heap_[0] = heap_.back();
+    std::pop_heap(heap_.begin(), heap_.end(), RunsAfter{});
+    const Event front = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) sift_down_from_root();
     return front;
   }
 
@@ -197,20 +160,10 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
     event.handler(event.ctx, event.arg, event.time);
   }
 
-  // Trampoline for the escape hatch: moves the pooled closure out of its
-  // slot (freeing the slot for events the closure may itself schedule),
-  // then invokes it.
-  static void run_pooled_fn(void* ctx, std::uint64_t slot, double time);
-
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Event> heap_;
-  // Closure pool for the escape hatch: slot indices recycle through the
-  // free list, so steady-state schedule(fn) reuses storage instead of
-  // allocating a fresh node per event.
-  std::vector<EventFn> fn_pool_;
-  std::vector<std::uint32_t> fn_free_;
 };
 
 // hotpath: one POD push per scheduled event; steady state must not allocate
@@ -228,15 +181,17 @@ inline std::uint64_t SimClock::schedule_typed(double time, int priority,
         "SimClock::schedule_typed: priority outside [0, 255]");
   }
   const std::uint64_t seq = next_seq_++;
-  Event event;
+  // Filled in place, not built on the stack and copied in: gcc copies a
+  // stack temporary with 16-byte loads spanning its 8-byte field stores,
+  // which defeats store-to-load forwarding (~10 ns per event).
+  Event& event = heap_.emplace_back();
   event.time = time < now_ ? now_ : time;
   event.order = (static_cast<std::uint64_t>(priority) << kPriorityShift) |
                 (seq << kSeqShift) | static_cast<std::uint64_t>(kind);
   event.handler = handler;
   event.ctx = ctx;
   event.arg = arg;
-  heap_.push_back(event);
-  sift_up(heap_.size() - 1);
+  std::push_heap(heap_.begin(), heap_.end(), RunsAfter{});
   return seq;
 }
 

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/units.h"
 #include "core/byom.h"
@@ -198,21 +199,47 @@ TEST_F(CategoryModelTest, BatchPredictionMatchesPerJob) {
   }
 }
 
-TEST_F(CategoryModelTest, PredictBatchOverFeatureRows) {
+TEST_F(CategoryModelTest, PredictBlockOverPaddedRows) {
   const auto t = cluster_trace(0, 408, 6, 2.0);
   const auto& jobs = t.jobs();
-  std::vector<std::vector<float>> features;
-  std::vector<FeatureRow> rows;
-  for (const auto& j : jobs) {
-    features.push_back(model().extractor().extract(j));
+  const std::size_t width = model().extractor().num_features();
+  const std::size_t stride = width + 2;
+  std::vector<float> block(jobs.size() * stride, -1.0f);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    model().extractor().extract_into(
+        jobs[i], common::Span<float>(block.data() + i * stride, width));
   }
-  for (const auto& f : features) rows.push_back(FeatureRow{f.data()});
   const auto batched =
-      model().predict_batch(common::Span<const FeatureRow>(rows));
+      model().predict_block(FeatureBlock{block.data(), stride, jobs.size()});
   ASSERT_EQ(batched.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(batched[i], model().predict_category(jobs[i]));
   }
+}
+
+TEST(CategoryModel, LoadRejectsModelsThatDoNotFitTheSchema) {
+  const std::string leaf = "1 -1 0 -1 -1 0.5\n";
+  const std::string labeler =
+      "category_model v1\ncategory_labeler v1\n2 1\n1\n";
+  const auto classifier = [&](int feature) {
+    return "gbdt_classifier v1\n2 2 0.1\n3\n0 " + std::to_string(feature) +
+           " 0.5 1 2 0\n" + leaf + leaf + "1\n" + leaf;
+  };
+  const features::FeatureExtractor extractor;
+  const int width = static_cast<int>(extractor.num_features());
+
+  std::stringstream fits(labeler + classifier(width - 1));
+  EXPECT_NO_THROW(CategoryModel::load(fits));
+
+  std::stringstream past_schema(labeler + classifier(width));
+  EXPECT_THROW(CategoryModel::load(past_schema), std::runtime_error);
+  std::stringstream far_past_schema(labeler + classifier(1000));
+  EXPECT_THROW(CategoryModel::load(far_past_schema), std::runtime_error);
+
+  std::stringstream class_mismatch(
+      "category_model v1\ncategory_labeler v1\n3 2\n1 2\n" +
+      classifier(0));
+  EXPECT_THROW(CategoryModel::load(class_mismatch), std::runtime_error);
 }
 
 TEST(CategoryModel, EmptyTrainingThrows) {

@@ -1,4 +1,4 @@
-// Hot-path regression suite for the typed pooled event engine and the
+// Hot-path regression suite for the typed event engine and the
 // zero-allocation feature pipeline:
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
@@ -136,27 +136,6 @@ TEST(AllocationGuard, TypedEventSchedulingIsAllocationFreeInSteadyState) {
   for (int r = 0; r < 8; ++r) round(256);
   EXPECT_EQ(allocations(), before)
       << "typed event scheduling allocated in steady state";
-}
-
-TEST(AllocationGuard, PooledEscapeHatchReusesSlotsInSteadyState) {
-  // The std::function escape hatch is not allocation-free (capturing
-  // closures may allocate), but its slot storage must recycle: scheduling
-  // capture-light closures round after round settles to zero allocations
-  // once the pool is warm.
-  sim::SimClock clock;
-  clock.reserve(64);
-  static std::uint64_t sink = 0;
-  const auto round = [&] {
-    for (int i = 0; i < 32; ++i) {
-      clock.schedule(clock.now() + 1.0, [] { ++sink; });
-    }
-    clock.run_all();
-  };
-  round();  // warm-up: pool + heap at capacity
-  const std::uint64_t before = allocations();
-  for (int r = 0; r < 4; ++r) round();
-  EXPECT_EQ(allocations(), before)
-      << "pooled escape-hatch slots were not reused";
 }
 
 TEST(AllocationGuard, CompiledBatchScoringIsAllocationFreeInSteadyState) {
@@ -297,21 +276,24 @@ TEST(AllocationGuard, PublishedHintLookupIsAllocationFree) {
 
 // ---------------------------------------------------- typed event engine
 
-TEST(TypedEvents, InterleaveWithEscapeHatchBySequence) {
+TEST(TypedEvents, EqualTimeAndPriorityRunInScheduleOrderAcrossKinds) {
+  // The kind tag sits below the sequence number in the ordering key, so
+  // it never reorders events: ties fall to schedule order whatever the
+  // kinds.
   sim::SimClock clock;
   std::vector<int> order;
   const auto record = [](void* ctx, std::uint64_t arg, double) {
     static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
   };
   clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kRelease, +record, &order, 0);
-  clock.schedule(1.0, sim::SimClock::kArrivalPriority,
-                 [&order] { order.push_back(1); });
-  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
                        sim::SimClock::EventKind::kHintReady, +record, &order,
-                       2);
-  clock.schedule(1.0, sim::SimClock::kArrivalPriority,
-                 [&order] { order.push_back(3); });
+                       0);
+  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
+                       sim::SimClock::EventKind::kRelease, +record, &order, 1);
+  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
+                       sim::SimClock::EventKind::kRetrain, +record, &order, 2);
+  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
+                       sim::SimClock::EventKind::kRelease, +record, &order, 3);
   EXPECT_EQ(clock.run_all(), 4u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -323,7 +305,7 @@ TEST(TypedEvents, PriorityStillOutranksSequenceAcrossKinds) {
     static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
   };
   clock.schedule_typed(2.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kCallback, +record, &order,
+                       sim::SimClock::EventKind::kRelease, +record, &order,
                        3);
   clock.schedule_typed(2.0, sim::SimClock::kHintReadyPriority,
                        sim::SimClock::EventKind::kHintReady, +record, &order,
@@ -358,7 +340,7 @@ TEST(TypedEvents, HandlerReceivesScheduledTime) {
     *static_cast<double*>(ctx) = time;
   };
   clock.schedule_typed(4.5, sim::SimClock::kDefaultPriority,
-                       sim::SimClock::EventKind::kCallback, +record,
+                       sim::SimClock::EventKind::kHintReady, +record,
                        &fired_at);
   clock.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 4.5);
@@ -428,7 +410,7 @@ TEST(FeatureMatrixIdentity, SchemaMismatchedMatrixIsIgnoredSafely) {
             core::precompute_categories(registry, jobs, 6, &narrow));
 }
 
-TEST(FeatureMatrixIdentity, ModelPredictCategoriesOverloadMatches) {
+TEST(FeatureMatrixIdentity, ModelPredictCategoriesMatrixMatchesExtraction) {
   static const core::CategoryModel model = [] {
     core::CategoryModelConfig config;
     config.num_categories = 6;

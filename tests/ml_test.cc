@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
@@ -269,20 +273,20 @@ TEST(GbdtClassifier, BatchPredictionMatchesPerRow) {
   params.num_rounds = 15;
   model.train(data, labels, 3, params);
 
-  std::vector<const float*> rows(data.num_rows());
-  for (std::size_t r = 0; r < data.num_rows(); ++r) rows[r] = data.row(r);
-
-  // Classes from the node-block batch traversal must be identical to the
-  // per-row path, and the raw scores bit-identical.
-  const auto batched = model.predict_batch(rows.data(), rows.size());
-  std::vector<double> batch_scores(rows.size() * 3);
-  model.scores_batch(rows.data(), rows.size(), batch_scores.data());
-  ASSERT_EQ(batched.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(batched[r], model.predict(rows[r]));
-    const auto expected = model.scores(rows[r]);
+  // Classes from the batched kernel must be identical to the per-row
+  // path, and the raw scores bit-identical. Dataset storage is row-major
+  // contiguous, so the whole dataset is one strided block.
+  const std::size_t n = data.num_rows();
+  const std::size_t stride = data.num_features();
+  const auto batched = model.predict_batch(data.row(0), stride, n);
+  std::vector<double> batch_scores(n * 3);
+  model.scores_batch(data.row(0), stride, n, batch_scores.data());
+  ASSERT_EQ(batched.size(), n);
+  for (std::size_t r = 0; r < n; ++r) {
+    EXPECT_EQ(batched[r], model.predict(data.row(r)));
+    const auto expected = model.scores(data.row(r));
     for (std::size_t k = 0; k < 3; ++k) {
-      EXPECT_DOUBLE_EQ(batch_scores[r * 3 + k], expected[k]);
+      EXPECT_EQ(batch_scores[r * 3 + k], expected[k]);
     }
   }
 }
@@ -343,13 +347,51 @@ TEST(GbdtClassifier, SplitCountsFavorInformativeFeatures) {
 
 // ------------------------------------------------------------ flat forest
 //
-// The compiled SoA kernel must be bit-identical to the node-block
-// traversal it replaced (scores_batch_nodeblock, the reference oracle):
-// same float comparison semantics, same per-accumulator double addition
-// order. These tests compare with EXPECT_EQ on doubles — exact equality,
-// not tolerance.
+// The compiled SoA kernels must be bit-identical to the reference oracle,
+// the plain per-tree walk (GbdtClassifier::reference_scores,
+// GbdtRegressor::reference_predict): same float comparison semantics, same
+// per-accumulator double addition order. These tests compare with
+// EXPECT_EQ on doubles — exact equality, not tolerance.
 
-TEST(FlatForest, CompiledScoresBitIdenticalToNodeBlock) {
+// Rows that hit the comparison's edge cases: every fourth row is a plain
+// dataset row; the others put NaN, +-inf, or values exactly equal to the
+// model's split thresholds into the features.
+std::vector<std::vector<float>> edge_case_rows(const Dataset& data,
+                                               const GbdtClassifier& model,
+                                               std::size_t n) {
+  std::vector<float> thresholds;
+  for (const auto& tree : model.trees()) {
+    for (const auto& node : tree.nodes()) {
+      if (!node.leaf) thresholds.push_back(node.threshold);
+    }
+  }
+  const std::size_t width = data.num_features();
+  std::vector<std::vector<float>> rows;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<float> row(data.row(r), data.row(r) + width);
+    const std::size_t f = r % width;
+    switch (r % 4) {
+      case 1:
+        row[f] = std::numeric_limits<float>::quiet_NaN();
+        break;
+      case 2:
+        row[f] = (r / 4) % 2 == 0 ? std::numeric_limits<float>::infinity()
+                                  : -std::numeric_limits<float>::infinity();
+        break;
+      case 3:
+        for (std::size_t g = 0; g < width; ++g) {
+          row[g] = thresholds[(r + g) % thresholds.size()];
+        }
+        break;
+      default:
+        break;
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(FlatForest, CompiledScoresMatchReferenceOnEdgeCaseRows) {
   std::vector<int> labels;
   const auto data = three_class_dataset(labels, 1500, 23);
   GbdtClassifier model;
@@ -358,56 +400,36 @@ TEST(FlatForest, CompiledScoresBitIdenticalToNodeBlock) {
   model.train(data, labels, 3, params);
   ASSERT_TRUE(model.compiled_forest().compiled());
 
-  std::vector<const float*> rows(data.num_rows());
-  for (std::size_t r = 0; r < data.num_rows(); ++r) rows[r] = data.row(r);
-
-  // Edge batch sizes around the kernel's row-block boundary (64): empty,
-  // single row, one-off-the-block, exact block, block+1, two-blocks+2.
-  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
-    ASSERT_LE(n, rows.size());
-    std::vector<double> compiled(n * 3, -1.0);
-    std::vector<double> reference(n * 3, -2.0);
-    model.scores_batch(rows.data(), n, compiled.data());
-    model.scores_batch_nodeblock(rows.data(), n, reference.data());
-    for (std::size_t i = 0; i < n * 3; ++i) {
-      EXPECT_EQ(compiled[i], reference[i]) << "n=" << n << " i=" << i;
-    }
-    const auto classes = model.predict_batch(rows.data(), n);
-    ASSERT_EQ(classes.size(), n);
-    for (std::size_t r = 0; r < n; ++r) {
-      EXPECT_EQ(classes[r], model.predict(rows[r])) << "n=" << n;
-    }
-  }
-}
-
-TEST(FlatForest, StridedMatchesRowPointers) {
-  std::vector<int> labels;
-  const auto data = three_class_dataset(labels, 200, 24);
-  GbdtClassifier model;
-  GbdtParams params;
-  params.num_rounds = 8;
-  model.train(data, labels, 3, params);
-
   // Pack the rows into a padded block: stride wider than the row so the
   // kernel's base + r * stride arithmetic is actually exercised.
   const std::size_t width = data.num_features();
   const std::size_t stride = width + 3;
-  const std::size_t n = data.num_rows();
-  std::vector<float> block(n * stride, -99.0f);
-  std::vector<const float*> rows(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    std::copy(data.row(r), data.row(r) + width, block.data() + r * stride);
-    rows[r] = data.row(r);
+  const auto rows = edge_case_rows(data, model, 130);
+  std::vector<float> block(rows.size() * stride, -99.0f);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r].begin(), rows[r].end(), block.begin() + r * stride);
   }
 
-  std::vector<double> strided(n * 3), pointer(n * 3);
-  model.scores_batch(block.data(), stride, n, strided.data());
-  model.scores_batch(rows.data(), n, pointer.data());
-  for (std::size_t i = 0; i < n * 3; ++i) {
-    EXPECT_EQ(strided[i], pointer[i]);
+  // Edge batch sizes around the kernel's row-block boundary (64): empty,
+  // single row, one-off-the-block, exact block, block+1, two-blocks+2.
+  double reference[3], single[3];
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    std::vector<double> batch(n * 3, -1.0);
+    model.scores_batch(block.data(), stride, n, batch.data());
+    const auto classes = model.predict_batch(block.data(), stride, n);
+    ASSERT_EQ(classes.size(), n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const float* row = rows[r].data();
+      model.reference_scores(row, reference);
+      model.scores_into(row, single);
+      for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(batch[r * 3 + k], reference[k])
+            << "n=" << n << " r=" << r << " k=" << k;
+        EXPECT_EQ(single[k], reference[k]) << "r=" << r << " k=" << k;
+      }
+      EXPECT_EQ(classes[r], model.predict(row)) << "n=" << n << " r=" << r;
+    }
   }
-  EXPECT_EQ(model.predict_batch(block.data(), stride, n),
-            model.predict_batch(rows.data(), n));
 }
 
 TEST(FlatForest, ScoresIntoMatchesScores) {
@@ -453,15 +475,16 @@ TEST(FlatForest, UntrainedLoadStaysUncompiled) {
   // no trees; recompile() must not throw and the forest stays uncompiled.
   GbdtClassifier empty;
   EXPECT_FALSE(empty.compiled_forest().compiled());
-  std::vector<double> none;
-  EXPECT_NO_THROW({
-    const auto classes = empty.predict_batch(
-        static_cast<const float* const*>(nullptr), 0);
-    EXPECT_TRUE(classes.empty());
-  });
+  std::stringstream ss;
+  empty.save(ss);
+  const auto loaded = GbdtClassifier::load(ss);
+  EXPECT_FALSE(loaded.compiled_forest().compiled());
+  const float row[1] = {0.0f};
+  EXPECT_TRUE(loaded.scores(row).empty());
+  EXPECT_TRUE(loaded.predict_batch(row, 1, 0).empty());
 }
 
-TEST(FlatForest, RegressorCompiledMatchesNodeBlock) {
+TEST(FlatForest, RegressorCompiledMatchesReference) {
   Dataset data({"x", "y"});
   std::vector<double> targets;
   Rng rng(27);
@@ -478,7 +501,7 @@ TEST(FlatForest, RegressorCompiledMatchesNodeBlock) {
 
   // Per-row: compiled predict vs the reference accumulation loop.
   for (std::size_t r = 0; r < 200; ++r) {
-    EXPECT_EQ(model.predict(data.row(r)), model.predict_nodeblock(data.row(r)));
+    EXPECT_EQ(model.predict(data.row(r)), model.reference_predict(data.row(r)));
   }
 
   // Strided batch (Dataset storage is row-major contiguous) across the
@@ -551,6 +574,126 @@ TEST(GbdtRegressor, SerializationRoundTrip) {
   const auto loaded = GbdtRegressor::load(ss);
   const float probe = 0.5f;
   EXPECT_DOUBLE_EQ(model.predict(&probe), loaded.predict(&probe));
+}
+
+TEST(GbdtRetrain, EmptyRetrainDropsTheCompiledForest) {
+  // Retraining on no rows leaves no trees; the compiled forest must follow,
+  // so scores fall back to the reference's: zeros for the classifier, the
+  // (reset) base for the regressor.
+  std::vector<int> labels;
+  const auto data = xor_like_dataset(labels, 600, 28);
+  GbdtClassifier classifier;
+  GbdtParams params;
+  params.num_rounds = 40;
+  classifier.train(data, labels, 2, params);
+  ASSERT_EQ(classifier.num_trees(), 80u);
+
+  std::vector<double> targets(data.num_rows());
+  for (std::size_t r = 0; r < data.num_rows(); ++r) {
+    targets[r] = data.row(r)[0] * 3.0;
+  }
+  GbdtRegressor regressor;
+  regressor.train(data, targets, params);
+  ASSERT_EQ(regressor.num_trees(), 40u);
+
+  const Dataset empty({"x0", "x1", "noise"});
+  classifier.train(empty, {}, 2, params);
+  regressor.train(empty, {}, params);
+  EXPECT_EQ(classifier.num_trees(), 0u);
+  EXPECT_EQ(regressor.num_trees(), 0u);
+  double reference[2];
+  double batch[2 * 8];
+  classifier.scores_batch(data.row(0), data.num_features(), 8, batch);
+  for (std::size_t r = 0; r < 8; ++r) {
+    const auto scores = classifier.scores(data.row(r));
+    classifier.reference_scores(data.row(r), reference);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(scores[k], 0.0);
+      EXPECT_EQ(scores[k], reference[k]);
+      EXPECT_EQ(batch[r * 2 + k], reference[k]);
+    }
+    EXPECT_EQ(regressor.predict(data.row(r)), 0.0);
+    EXPECT_EQ(regressor.predict(data.row(r)),
+              regressor.reference_predict(data.row(r)));
+  }
+}
+
+// ------------------------------------------------------- malformed models
+//
+// Every malformed model file must throw std::runtime_error naming what
+// failed — never reach predict() or FlatForest::compile with indices that
+// read out of bounds.
+
+constexpr const char* kLeaf = "1 -1 0 -1 -1 0.5\n";
+
+struct MalformedCase {
+  const char* name;
+  std::string text;
+  const char* message;  // substring of the expected error
+};
+
+template <typename Model>
+void expect_rejected(const std::vector<MalformedCase>& cases) {
+  for (const auto& c : cases) {
+    std::stringstream ss(c.text);
+    try {
+      Model::load(ss);
+      ADD_FAILURE() << c.name << ": loaded without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
+}
+
+TEST(MalformedModel, RegressionTreeLoadRejects) {
+  const std::string leaf = kLeaf;
+  expect_rejected<RegressionTree>({
+      {"child past node count", "3\n0 0 0.5 1 5 0\n" + leaf + leaf,
+       "child index"},
+      {"self-loop child", "2\n0 0 0.5 0 1 0\n" + leaf, "child index"},
+      {"child before parent",
+       "4\n0 0 0.5 1 2 0\n0 0 0.5 0 3 0\n" + leaf + leaf, "child index"},
+      {"negative split feature", "3\n0 -2 0.5 1 2 0\n" + leaf + leaf,
+       "negative split feature"},
+      {"negative node count", "-1\n", "bad node count"},
+      {"missing node count", "", "bad node count"},
+      {"truncated nodes", "3\n0 0 0.5 1 2 0\n" + leaf, "malformed input"},
+  });
+}
+
+TEST(MalformedModel, GbdtClassifierLoadRejects) {
+  const std::string leaf = kLeaf;
+  const std::string header = "gbdt_classifier v1\n";
+  expect_rejected<GbdtClassifier>({
+      {"child past node count",
+       header + "2 2 0.1\n3\n0 0 0.5 1 5 0\n" + leaf + leaf + "1\n" + leaf,
+       "child index"},
+      {"negative class count", header + "-3 0 0.1\n", "negative count"},
+      {"negative tree count", header + "2 -2 0.1\n", "negative count"},
+      {"one tree for three classes", header + "3 1 0.1\n1\n" + leaf,
+       "multiple of the class count"},
+      {"trees without classes", header + "0 1 0.1\n1\n" + leaf,
+       "multiple of the class count"},
+      {"truncated header", header + "3\n", "truncated header"},
+      {"overflowing learning rate", header + "2 0 1e999\n", "GbdtClassifier"},
+      {"missing tree", header + "2 2 0.1\n1\n" + leaf, "RegressionTree"},
+  });
+  // The untrained model's own file still loads.
+  std::stringstream untrained(header + "0 0 0.15\n");
+  EXPECT_NO_THROW(GbdtClassifier::load(untrained));
+}
+
+TEST(MalformedModel, GbdtRegressorLoadRejects) {
+  const std::string leaf = kLeaf;
+  const std::string header = "gbdt_regressor v1\n";
+  expect_rejected<GbdtRegressor>({
+      {"child past node count",
+       header + "1 0 0.1\n3\n0 0 0.5 1 5 0\n" + leaf + leaf, "child index"},
+      {"negative tree count", header + "-1 0 0.1\n", "negative tree count"},
+      {"truncated header", header + "1 0\n", "truncated header"},
+      {"missing tree", header + "1 0 0.1\n", "RegressionTree"},
+  });
 }
 
 // ---------------------------------------------------------------- metrics

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "policy/first_fit.h"
 #include "policy/policy.h"
@@ -157,12 +161,40 @@ TEST(Simulator, ZeroCapacityMeansFullSpill) {
 
 // ---------------------------------------------------------------- SimClock
 
+// Test-local trampoline: each scheduled event runs one closure held by the
+// test (a deque, so closures that schedule more events never move the one
+// that is running). The payload word is the closure's index.
+class Actions {
+ public:
+  explicit Actions(SimClock& clock) : clock_(clock) {}
+
+  std::uint64_t schedule(double time, int priority,
+                         std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    return clock_.schedule_typed(time, priority,
+                                 SimClock::EventKind::kRelease, &Actions::run,
+                                 this, fns_.size() - 1);
+  }
+  std::uint64_t schedule(double time, std::function<void()> fn) {
+    return schedule(time, SimClock::kDefaultPriority, std::move(fn));
+  }
+
+ private:
+  static void run(void* ctx, std::uint64_t index, double /*time*/) {
+    static_cast<Actions*>(ctx)->fns_[index]();
+  }
+
+  SimClock& clock_;
+  std::deque<std::function<void()>> fns_;
+};
+
 TEST(SimClock, RunsEventsInTimeOrder) {
   SimClock clock;
+  Actions actions(clock);
   std::vector<int> order;
-  clock.schedule(3.0, [&] { order.push_back(3); });
-  clock.schedule(1.0, [&] { order.push_back(1); });
-  clock.schedule(2.0, [&] { order.push_back(2); });
+  actions.schedule(3.0, [&] { order.push_back(3); });
+  actions.schedule(1.0, [&] { order.push_back(1); });
+  actions.schedule(2.0, [&] { order.push_back(2); });
   EXPECT_EQ(clock.run_all(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(clock.now(), 3.0);
@@ -170,22 +202,27 @@ TEST(SimClock, RunsEventsInTimeOrder) {
 
 TEST(SimClock, PriorityBreaksTiesAtEqualTimes) {
   SimClock clock;
+  Actions actions(clock);
   std::vector<int> order;
-  clock.schedule(5.0, SimClock::kArrivalPriority, [&] { order.push_back(3); });
-  clock.schedule(5.0, SimClock::kHintReadyPriority,
-                 [&] { order.push_back(2); });
-  clock.schedule(5.0, SimClock::kReleasePriority, [&] { order.push_back(0); });
-  clock.schedule(5.0, SimClock::kRetrainPriority, [&] { order.push_back(1); });
+  actions.schedule(5.0, SimClock::kArrivalPriority,
+                   [&] { order.push_back(3); });
+  actions.schedule(5.0, SimClock::kHintReadyPriority,
+                   [&] { order.push_back(2); });
+  actions.schedule(5.0, SimClock::kReleasePriority,
+                   [&] { order.push_back(0); });
+  actions.schedule(5.0, SimClock::kRetrainPriority,
+                   [&] { order.push_back(1); });
   clock.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(SimClock, ScheduleOrderBreaksRemainingTies) {
   SimClock clock;
+  Actions actions(clock);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    clock.schedule(1.0, SimClock::kArrivalPriority,
-                   [&order, i] { order.push_back(i); });
+    actions.schedule(1.0, SimClock::kArrivalPriority,
+                     [&order, i] { order.push_back(i); });
   }
   clock.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -193,19 +230,21 @@ TEST(SimClock, ScheduleOrderBreaksRemainingTies) {
 
 TEST(SimClock, PastEventsClampToNow) {
   SimClock clock;
+  Actions actions(clock);
   clock.advance_to(10.0);
   double fired_at = -1.0;
-  clock.schedule(2.0, [&] { fired_at = clock.now(); });
+  actions.schedule(2.0, [&] { fired_at = clock.now(); });
   clock.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 10.0);  // time never moves backwards
 }
 
 TEST(SimClock, EventsMayScheduleFurtherEvents) {
   SimClock clock;
+  Actions actions(clock);
   std::vector<double> times;
-  clock.schedule(1.0, [&] {
+  actions.schedule(1.0, [&] {
     times.push_back(clock.now());
-    clock.schedule(2.0, [&] { times.push_back(clock.now()); });
+    actions.schedule(2.0, [&] { times.push_back(clock.now()); });
   });
   EXPECT_EQ(clock.run_all(), 2u);
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
@@ -214,20 +253,106 @@ TEST(SimClock, EventsMayScheduleFurtherEvents) {
 
 TEST(SimClock, RunUntilIsInclusiveAndAdvances) {
   SimClock clock;
+  Actions actions(clock);
   int fired = 0;
-  clock.schedule(1.0, [&] { ++fired; });
-  clock.schedule(2.0, [&] { ++fired; });
-  clock.schedule(2.5, [&] { ++fired; });
+  actions.schedule(1.0, [&] { ++fired; });
+  actions.schedule(2.0, [&] { ++fired; });
+  actions.schedule(2.5, [&] { ++fired; });
   EXPECT_EQ(clock.run_until(2.0), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(clock.now(), 2.0);
   EXPECT_EQ(clock.pending(), 1u);
 }
 
-TEST(SimClock, RejectsNullEvent) {
+TEST(SimClock, RejectsNullHandler) {
   SimClock clock;
-  EXPECT_THROW(clock.schedule(0.0, SimClock::EventFn{}),
+  EXPECT_THROW(clock.schedule_typed(0.0, SimClock::kDefaultPriority,
+                                    SimClock::EventKind::kRelease, nullptr,
+                                    nullptr),
                std::invalid_argument);
+  EXPECT_EQ(clock.pending(), 0u);
+}
+
+// Randomized order check: the heap is an implementation detail, so over
+// many seeded schedules — duplicate times and priorities, requested times
+// in the past that clamp to now(), handlers that schedule more events —
+// the dispatch order must equal a plain stable sort of every scheduled
+// event by (effective time, priority), schedule order breaking ties.
+// Handlers only schedule events that sort after themselves (a later time,
+// or the current instant at a priority no lower than their own), so the
+// running event is always the minimum and that order is well defined.
+class RandomSchedule {
+ public:
+  explicit RandomSchedule(std::uint64_t seed) : rng_(seed) {}
+
+  void run() {
+    clock_.advance_to(4.0);  // initial times below 4 clamp to now()
+    for (int i = 0; i < 200; ++i) {
+      schedule(static_cast<double>(rng_.uniform_index(16)),
+               static_cast<int>(rng_.uniform_index(5)));
+    }
+    clock_.run_until(static_cast<double>(rng_.uniform_index(20)));
+    clock_.run_all();
+  }
+
+  // Indices into scheduled_, which is in schedule order.
+  std::vector<std::size_t> expected() const {
+    std::vector<std::size_t> order(scheduled_.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       const Scheduled& x = scheduled_[a];
+                       const Scheduled& y = scheduled_[b];
+                       if (x.time != y.time) return x.time < y.time;
+                       return x.priority < y.priority;
+                     });
+    return order;
+  }
+  const std::vector<std::size_t>& dispatched() const { return dispatched_; }
+  std::size_t num_scheduled() const { return scheduled_.size(); }
+
+ private:
+  struct Scheduled {
+    double time;  // effective: the requested time clamped to now()
+    int priority;
+  };
+
+  void schedule(double time, int priority) {
+    const std::size_t index = scheduled_.size();
+    scheduled_.push_back({std::max(time, clock_.now()), priority});
+    clock_.schedule_typed(time, priority, SimClock::EventKind::kRelease,
+                          &RandomSchedule::fire, this, index);
+  }
+
+  static void fire(void* ctx, std::uint64_t index, double now) {
+    auto& self = *static_cast<RandomSchedule*>(ctx);
+    self.dispatched_.push_back(index);
+    const int own = self.scheduled_[index].priority;
+    const auto children = self.rng_.uniform_index(3);
+    for (std::uint64_t c = 0; c < children && self.budget_ > 0; ++c) {
+      --self.budget_;
+      const double at =
+          now + static_cast<double>(self.rng_.uniform_index(7)) - 3.0;
+      const int lowest = at <= now ? own : 0;
+      self.schedule(at, lowest + static_cast<int>(self.rng_.uniform_index(
+                                     static_cast<std::uint64_t>(5 - lowest))));
+    }
+  }
+
+  common::Rng rng_;
+  SimClock clock_;
+  std::vector<Scheduled> scheduled_;
+  std::vector<std::size_t> dispatched_;
+  int budget_ = 150;
+};
+
+TEST(SimClock, DispatchOrderMatchesStableSortOverRandomSchedules) {
+  for (std::uint64_t trial = 0; trial < 1000; ++trial) {
+    RandomSchedule schedule(0x5EED0000 + trial);
+    schedule.run();
+    ASSERT_GT(schedule.num_scheduled(), 200u);
+    ASSERT_EQ(schedule.dispatched(), schedule.expected()) << "trial " << trial;
+  }
 }
 
 // ------------------------------------------------- event engine regression

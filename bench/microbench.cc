@@ -472,10 +472,13 @@ BENCHMARK(BM_InferenceCompiledPerJob);
 // ---- serving loop: served-hint round trip vs batcher max_batch ----------
 //
 // Full enqueue -> queue -> batcher -> predict_batch -> publish -> lookup
-// cycle per job, in deterministic mode (no thread jitter): max_batch=1
-// degenerates to per-job inference through the serving machinery; larger
-// batches amortize the forest traversal, reporting how much of the
-// predict_batch speedup the online loop retains.
+// cycle per job, in deterministic mode (no thread jitter): max_batch=1 is
+// the online single-request shape, and its rate over the bare single-row
+// kernel (BM_InferenceCompiledPerJob) is the tracked
+// served_round_trip_vs_single_row_x — what the serving machinery costs on
+// top of scoring. Larger batches amortize only the per-batch registry
+// resolution and hand-off: the forest walk is one row at a time at every
+// batch size.
 void BM_ServedHintLatency(benchmark::State& state) {
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(

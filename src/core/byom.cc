@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,40 +40,67 @@ CategoryProviderPtr make_registry_provider(
   return std::make_shared<RegistryProvider>(std::move(registry));
 }
 
+void predict_categories_into(const ModelRegistry& registry,
+                             common::Span<const trace::Job* const> jobs,
+                             int fallback_num_categories,
+                             const features::FeatureMatrix* matrix, int* out,
+                             InferencePassBuffers& buffers) {
+  if (fallback_num_categories < 2) {
+    throw std::invalid_argument(
+        "predict_categories_into: fallback N >= 2 required");
+  }
+  // Resolve every job's backend once. The handles are shared_ptrs: a
+  // concurrent hot-swap cannot destroy a backend this pass still predicts
+  // with.
+  auto& backends = buffers.backends;
+  backends.clear();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    backends.push_back(registry.lookup(*jobs[i]));
+    if (!backends.back()) {
+      out[i] = hash_category(*jobs[i], fallback_num_categories);
+    }
+  }
+  // One predict_batch per distinct backend, in first-seen order. A
+  // registry holds a handful of backends, so the scan for each group's
+  // members stays linear in practice.
+  for (std::size_t first = 0; first < jobs.size(); ++first) {
+    if (!backends[first]) continue;
+    const ModelBackendPtr backend = std::move(backends[first]);
+    buffers.group_jobs.clear();
+    buffers.group_rows.clear();
+    buffers.group_jobs.push_back(jobs[first]);
+    buffers.group_rows.push_back(first);
+    for (std::size_t i = first + 1; i < jobs.size(); ++i) {
+      if (backends[i] == backend) {
+        backends[i].reset();
+        buffers.group_jobs.push_back(jobs[i]);
+        buffers.group_rows.push_back(i);
+      }
+    }
+    buffers.group_categories.resize(buffers.group_jobs.size());
+    backend->predict_batch(
+        common::Span<const trace::Job* const>(buffers.group_jobs.data(),
+                                              buffers.group_jobs.size()),
+        matrix, buffers.group_categories.data(), buffers.features);
+    for (std::size_t b = 0; b < buffers.group_rows.size(); ++b) {
+      out[buffers.group_rows[b]] = buffers.group_categories[b];
+    }
+  }
+  backends.clear();
+}
+
 CategoryHints precompute_categories(const ModelRegistry& registry,
                                     common::Span<const trace::Job* const> jobs,
                                     int fallback_num_categories,
                                     const features::FeatureMatrix* matrix) {
+  InferencePassBuffers buffers;
+  std::vector<int> categories(jobs.size());
+  predict_categories_into(registry, jobs, fallback_num_categories, matrix,
+                          categories.data(), buffers);
   CategoryHints hints;
   hints.reserve(jobs.size());
-
-  // Group jobs by responsible backend so each backend sees one batch. The
-  // group holds a shared_ptr: a concurrent hot-swap cannot destroy a
-  // backend this pass is still predicting with.
-  struct Group {
-    ModelBackendPtr backend;
-    std::vector<const trace::Job*> jobs;
-  };
-  std::unordered_map<const ModelBackend*, Group> groups;
-  const auto fallback = make_hash_provider(fallback_num_categories);
-  for (const trace::Job* job : jobs) {
-    if (ModelBackendPtr backend = registry.lookup(*job)) {
-      Group& group = groups[backend.get()];
-      if (!group.backend) group.backend = std::move(backend);
-      group.jobs.push_back(job);
-    } else {
-      hints.emplace(job->job_id, fallback->category(*job).value_or(0));
-    }
-  }
-  for (const auto& [key, group] : groups) {
-    (void)key;
-    const auto categories = group.backend->predict_batch(
-        common::Span<const trace::Job* const>(group.jobs.data(),
-                                              group.jobs.size()),
-        matrix);
-    for (std::size_t b = 0; b < group.jobs.size(); ++b) {
-      hints.emplace(group.jobs[b]->job_id, categories[b]);
-    }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    hints.emplace(jobs[i]->job_id, categories[i]);
   }
   return hints;
 }

@@ -38,21 +38,44 @@ namespace byom::core {
 CategoryProviderPtr make_registry_provider(
     std::shared_ptr<const ModelRegistry> registry);
 
-// Batched hint precomputation: groups `jobs` by their responsible backend
-// and runs one ModelBackend::predict_batch per backend (for the GBDT
-// backend, the compiled flat-forest kernel over the whole group instead of
-// one tree walk per job). Jobs with no backend get the hash fallback so the
-// resulting table covers every job. Categories are identical to per-job
-// registry lookup. This is also the batch-execution path of
-// serving::PlacementService, which is what makes served hints bit-identical
-// to offline-batched ones. When `matrix` (the trace's shared
+// Buffers of one registry-grouped inference pass. A caller that runs many
+// passes (a serving shard's drain) keeps one, so a steady-state pass
+// allocates nothing once they have grown to its batch size; a fresh one
+// per pass is always correct.
+struct InferencePassBuffers {
+  // Per job: the responsible backend, cleared once its group is predicted.
+  std::vector<ModelBackendPtr> backends;
+  // One backend group: its jobs, their batch positions, their categories.
+  std::vector<const trace::Job*> group_jobs;
+  std::vector<std::size_t> group_rows;
+  std::vector<int> group_categories;
+  // Feature scratch handed to ModelBackend::predict_batch.
+  std::vector<float> features;
+};
+
+// The registry-grouped inference pass: writes jobs[i]'s category to
+// out[i]. Jobs are grouped by their responsible backend and each group
+// runs one ModelBackend::predict_batch (the GBDT backend scores through
+// the compiled flat-forest kernel); jobs with no backend get the hash
+// fallback (hash_category over `fallback_num_categories`, which must be
+// >= 2). Categories are identical to per-job registry lookup and never
+// depend on batch composition. This is the one implementation behind
+// precompute_categories and behind serving::PlacementService's batch
+// execution, which is what makes served hints bit-identical to
+// offline-batched ones. When `matrix` (the trace's shared
 // features::FeatureMatrix) is non-null, feature-driven backends read its
 // pre-extracted rows instead of re-tokenizing each job — bit-identical
 // either way.
-//
-// The job-pointer overload is the one implementation; callers that hold
-// jobs elsewhere (the serving batch holds them inside its requests) pass
-// pointers instead of copying. The vector overload adapts to it.
+void predict_categories_into(const ModelRegistry& registry,
+                             common::Span<const trace::Job* const> jobs,
+                             int fallback_num_categories,
+                             const features::FeatureMatrix* matrix, int* out,
+                             InferencePassBuffers& buffers);
+
+// The same pass as a job-id -> category table (offline hint
+// precomputation). The job-pointer overload lets callers that hold jobs
+// elsewhere pass pointers instead of copying; the vector overload adapts
+// to it.
 CategoryHints precompute_categories(
     const ModelRegistry& registry, common::Span<const trace::Job* const> jobs,
     int fallback_num_categories,

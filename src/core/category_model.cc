@@ -88,8 +88,8 @@ int CategoryModel::true_category(const trace::Job& job) const {
   return labeler_.category_of(job);
 }
 
-std::vector<int> CategoryModel::predict_block(const FeatureBlock& block) const {
-  return classifier_.predict_batch(block.base, block.stride, block.num_rows);
+void CategoryModel::predict_block(const FeatureBlock& block, int* out) const {
+  classifier_.predict_batch(block.base, block.stride, block.num_rows, out);
 }
 
 std::vector<int> CategoryModel::predict_categories(
@@ -103,7 +103,9 @@ std::vector<int> CategoryModel::predict_categories(
       extractor_,
       common::Span<const trace::Job* const>(pointers.data(), pointers.size()),
       matrix, scratch);
-  return predict_block(block);
+  std::vector<int> categories(jobs.size());
+  predict_block(block, categories.data());
+  return categories;
 }
 
 double CategoryModel::top1_accuracy(

@@ -62,9 +62,10 @@ class CategoryModel {
   int true_category(const trace::Job& job) const;
 
   // Batched inference over one contiguous strided feature block (what the
-  // gatherer above produces) through the compiled flat-forest kernel.
-  // Bit-identical to calling predict_category per row.
-  std::vector<int> predict_block(const FeatureBlock& block) const;
+  // gatherer above produces) through the compiled flat-forest kernel:
+  // fills out[0 .. block.num_rows). Bit-identical to calling
+  // predict_category per row.
+  void predict_block(const FeatureBlock& block, int* out) const;
   // Convenience: gathers every job's feature row, then predicts in one
   // block. Rows come out of `matrix` when given (jobs outside it, or a
   // schema-mismatched matrix, fall back to extraction); the classes do not

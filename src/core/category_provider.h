@@ -75,6 +75,9 @@ using CategoryProviderPtr = std::shared_ptr<CategoryProvider>;
 // ISSUE 4; the full reachable range is pinned by
 // CategoryProvider.HashProviderCoversExactlyTheAdmittableRange.
 CategoryProviderPtr make_hash_provider(int num_categories);
+// The same hash as a plain function, for batch passes that fall back
+// per job without building a provider. Requires num_categories >= 2.
+int hash_category(const trace::Job& job, int num_categories);
 
 // Synchronous model-backed inference. With `use_true_category` the provider
 // returns ground-truth labels instead (the Figure 11 perfect-model study).

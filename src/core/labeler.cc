@@ -106,11 +106,30 @@ CategoryLabeler CategoryLabeler::load(std::istream& in) {
     throw std::runtime_error("CategoryLabeler::load: bad header");
   }
   CategoryLabeler labeler;
-  std::size_t count = 0;
+  // Signed, so a negative count is rejected rather than wrapping into a
+  // huge allocation.
+  long long count = -1;
   in >> labeler.num_categories_ >> count;
-  labeler.density_thresholds_.resize(count);
-  for (double& t : labeler.density_thresholds_) in >> t;
-  if (!in) throw std::runtime_error("CategoryLabeler::load: malformed input");
+  if (!in) throw std::runtime_error("CategoryLabeler::load: truncated header");
+  // category_of returns 1 + bucket index, up to 1 + count, so a fitted
+  // labeler needs count <= N - 2 for every category to stay in [0, N); the
+  // unfitted labeler round-trips as N == 0 with no thresholds.
+  const long long n = labeler.num_categories_;
+  const bool unfitted = n == 0 && count == 0;
+  if (!unfitted && !(n >= 2 && count >= 0 && count <= n - 2)) {
+    throw std::runtime_error(
+        "CategoryLabeler::load: threshold count does not fit the category "
+        "count");
+  }
+  // Grown as values arrive, so a huge declared count on a short stream
+  // fails on the stream instead of on one huge allocation.
+  for (long long i = 0; i < count; ++i) {
+    double t = 0.0;
+    if (!(in >> t)) {
+      throw std::runtime_error("CategoryLabeler::load: malformed input");
+    }
+    labeler.density_thresholds_.push_back(t);
+  }
   return labeler;
 }
 

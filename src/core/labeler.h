@@ -55,7 +55,10 @@ class CategoryLabeler {
   std::vector<int> category_histogram(
       const std::vector<trace::Job>& jobs) const;
 
-  // Text (de)serialization.
+  // Text (de)serialization. load() throws std::runtime_error on a bad
+  // header, a truncated stream, or a threshold count that does not fit the
+  // category count: a fitted labeler has N >= 2 categories and at most
+  // N - 2 thresholds, the unfitted one N == 0 and none.
   void save(std::ostream& out) const;
   static CategoryLabeler load(std::istream& in);
 

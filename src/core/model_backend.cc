@@ -11,17 +11,15 @@
 
 namespace byom::core {
 
-std::vector<int> ModelBackend::predict_batch(
-    common::Span<const trace::Job* const> jobs,
-    const features::FeatureMatrix* /*matrix*/) const {
+void ModelBackend::predict_batch(common::Span<const trace::Job* const> jobs,
+                                 const features::FeatureMatrix* /*matrix*/,
+                                 int* out,
+                                 std::vector<float>& /*scratch*/) const {
   // Backends that do not consume Table-2 features (the frequency table)
   // have nothing to gain from the matrix.
-  std::vector<int> categories;
-  categories.reserve(jobs.size());
-  for (const trace::Job* job : jobs) {
-    categories.push_back(predict_category(*job));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out[i] = predict_category(*jobs[i]);
   }
-  return categories;
 }
 
 std::vector<int> ModelBackend::predict_batch(
@@ -29,8 +27,12 @@ std::vector<int> ModelBackend::predict_batch(
   std::vector<const trace::Job*> pointers;
   pointers.reserve(jobs.size());
   for (const auto& job : jobs) pointers.push_back(&job);
-  return predict_batch(common::Span<const trace::Job* const>(
-      pointers.data(), pointers.size()));
+  std::vector<int> categories(jobs.size());
+  std::vector<float> scratch;
+  predict_batch(
+      common::Span<const trace::Job* const>(pointers.data(), pointers.size()),
+      nullptr, categories.data(), scratch);
+  return categories;
 }
 
 const char* backend_kind_name(BackendKind kind) {
@@ -62,18 +64,17 @@ class GbdtBackend final : public ModelBackend {
     return model_->predict_category(job);
   }
 
-  // The compiled flat-forest batched traversal; bit-identical to per-job
-  // prediction by CategoryModel's own contract. With a shared matrix, the
-  // gatherer aliases the contiguous matrix block when the jobs resolve to
-  // consecutive rows (zero copies) and otherwise packs one scratch block
-  // sized once; either way the compiled kernel reads a strided block.
-  std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs,
-      const features::FeatureMatrix* matrix) const override {
-    std::vector<float> scratch;
+  // The compiled flat-forest kernel over one strided block; bit-identical
+  // to per-job prediction by CategoryModel's own contract. With a shared
+  // matrix, the gatherer aliases the contiguous matrix block when the jobs
+  // resolve to consecutive rows (zero copies) and otherwise packs the
+  // caller's scratch block.
+  void predict_batch(common::Span<const trace::Job* const> jobs,
+                     const features::FeatureMatrix* matrix, int* out,
+                     std::vector<float>& scratch) const override {
     const auto block =
         gather_feature_block(model_->extractor(), jobs, matrix, scratch);
-    return model_->predict_block(block);
+    model_->predict_block(block, out);
   }
 
  private:
@@ -163,31 +164,31 @@ class LogisticBackend final : public ModelBackend {
     return predict_in_place(x.data(), logits.data());
   }
 
-  // Batched path with one reused scratch row: matrix rows (immutable,
-  // shared) are copied into the scratch before standardization, jobs
-  // outside the matrix are extracted into it — either way the per-job
-  // arithmetic is exactly predict_category's, so results are bit-identical.
-  std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs,
-      const features::FeatureMatrix* matrix) const override {
+  // Batched path with one reused scratch row (the caller's scratch):
+  // matrix rows (immutable, shared) are copied into it before
+  // standardization, jobs outside the matrix are extracted into it — either
+  // way the per-job arithmetic is exactly predict_category's, so results
+  // are bit-identical.
+  void predict_batch(common::Span<const trace::Job* const> jobs,
+                     const features::FeatureMatrix* matrix, int* out,
+                     std::vector<float>& scratch) const override {
     if (matrix != nullptr && matrix->num_features() != num_features_) {
       matrix = nullptr;
     }
-    std::vector<int> categories;
-    categories.reserve(jobs.size());
-    std::vector<float> x(num_features_);
+    scratch.resize(num_features_);
+    float* const x = scratch.data();
     std::vector<double> logits(static_cast<std::size_t>(num_categories_));
-    for (const trace::Job* job : jobs) {
-      const float* row = matrix != nullptr ? matrix->find(job->job_id)
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const trace::Job& job = *jobs[i];
+      const float* row = matrix != nullptr ? matrix->find(job.job_id)
                                            : nullptr;
       if (row != nullptr) {
-        std::copy(row, row + num_features_, x.data());
+        std::copy(row, row + num_features_, x);
       } else {
-        extractor_.extract_into(*job, common::Span<float>(x.data(), x.size()));
+        extractor_.extract_into(job, common::Span<float>(x, num_features_));
       }
-      categories.push_back(predict_in_place(x.data(), logits.data()));
+      out[i] = predict_in_place(x, logits.data());
     }
-    return categories;
   }
 
  private:

@@ -43,17 +43,20 @@ class ModelBackend {
   // Category hint for one job, in [0, num_categories()).
   virtual int predict_category(const trace::Job& job) const = 0;
 
-  // Batched inference over a group of jobs (the serving fast path). Must be
-  // bit-identical to calling predict_category per job; the default
-  // implementation is exactly that loop. `matrix` is an optional shared
-  // pre-extracted feature matrix: feature-driven backends (the GBDT's
-  // compiled flat-forest kernel, the logistic model) override this to read
-  // its rows by job id instead of re-extracting, falling back to
-  // extraction for jobs outside it or when its width does not match their
-  // extractor's schema. The result never depends on whether it is given.
-  virtual std::vector<int> predict_batch(
-      common::Span<const trace::Job* const> jobs,
-      const features::FeatureMatrix* matrix = nullptr) const;
+  // Batched inference over a group of jobs (the serving fast path): writes
+  // jobs[i]'s category to out[i]. Must be bit-identical to calling
+  // predict_category per job; the default implementation is exactly that
+  // loop. `matrix` is an optional shared pre-extracted feature matrix:
+  // feature-driven backends (the GBDT's compiled flat-forest kernel, the
+  // logistic model) override this to read its rows by job id instead of
+  // re-extracting, falling back to extraction for jobs outside it or when
+  // its width does not match their extractor's schema. The result never
+  // depends on whether it is given. `scratch` is feature storage the caller
+  // keeps across calls, so a pass that reuses it allocates nothing once it
+  // has grown to the batch; its contents on entry are unspecified.
+  virtual void predict_batch(common::Span<const trace::Job* const> jobs,
+                             const features::FeatureMatrix* matrix, int* out,
+                             std::vector<float>& scratch) const;
 
   // Convenience for callers holding a materialized vector.
   std::vector<int> predict_batch(const std::vector<trace::Job>& jobs) const;

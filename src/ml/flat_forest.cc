@@ -10,8 +10,7 @@ namespace {
 constexpr std::int32_t kMaxFeature = 0xFFFF;
 }  // namespace
 
-int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
-                             std::uint16_t* depth) {
+int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes) {
   const auto alloc_slot = [this] {
     threshold_.push_back(0.0f);
     feature_.push_back(0);
@@ -25,7 +24,6 @@ int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
   };
 
   const std::int32_t root = alloc_slot();
-  *depth = 0;
   if (nodes.empty()) {
     // A default-constructed tree predicts 0.0; a 0.0 leaf contributes
     // scale * 0.0, which cannot change any finite accumulator, so scores
@@ -40,17 +38,15 @@ int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
   struct Pending {
     std::int32_t orig;
     std::int32_t slot;
-    std::uint16_t level;
   };
   std::vector<Pending> queue;
   queue.reserve(nodes.size());
-  queue.push_back({0, root, 0});
+  queue.push_back({0, root});
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const auto [orig, slot, level] = queue[head];
+    const auto [orig, slot] = queue[head];
     const RegressionTree::Node& node = nodes[static_cast<std::size_t>(orig)];
     if (node.leaf) {
       seal_leaf(slot, node.value);
-      *depth = std::max(*depth, level);
       continue;
     }
     if (node.feature < 0 || node.feature > kMaxFeature) {
@@ -64,10 +60,8 @@ int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
     const std::int32_t left_slot = alloc_slot();
     alloc_slot();  // right child: left_slot + 1 by construction
     left_[static_cast<std::size_t>(slot)] = left_slot;
-    queue.push_back({node.left, left_slot,
-                     static_cast<std::uint16_t>(level + 1)});
-    queue.push_back({node.right, left_slot + 1,
-                     static_cast<std::uint16_t>(level + 1)});
+    queue.push_back({node.left, left_slot});
+    queue.push_back({node.right, left_slot + 1});
   }
   return root;
 }
@@ -104,13 +98,12 @@ FlatForest FlatForest::compile(const std::vector<RegressionTree>& trees,
     forest.class_offset_[c + 1] += forest.class_offset_[c];
   }
   forest.roots_.resize(trees.size());
-  forest.depth_.resize(trees.size());
   std::vector<std::uint32_t> cursor(forest.class_offset_.begin(),
                                     forest.class_offset_.end() - 1);
   for (std::size_t t = 0; t < trees.size(); ++t) {
     const std::uint32_t at = cursor[t % k]++;
-    forest.roots_[at] = static_cast<std::int32_t>(
-        forest.compile_tree(trees[t].nodes(), &forest.depth_[at]));
+    forest.roots_[at] =
+        static_cast<std::int32_t>(forest.compile_tree(trees[t].nodes()));
   }
   return forest;
 }
@@ -142,59 +135,13 @@ void FlatForest::score_into(const float* row, double* out) const {
   }
 }
 
-// hotpath: compiled blocked batch scoring over a contiguous strided row
-// block — zero allocation, no pointer staging. Row blocks stay hot in L1
-// while the node arena streams through once per block, and each tree is
-// walked level by level across the whole block: the conditional-move step
-// parks rows that reached a leaf (left child < 0 leaves idx unchanged;
-// leaf slots carry feature 0 / threshold 0 so the discarded probe read is
-// always in bounds), so the level loop runs a fixed depth_[j] trips with
-// no data-dependent branch — 64 independent walks per stream instead of
-// one serial pointer chase. Per-accumulator addition order equals the
-// per-tree reference walk, so scores are bit-identical.
+// hotpath: batch scoring is the single-row walk per row — zero allocation,
+// no pointer staging, and bit-identical to score_into by construction.
 void FlatForest::score_strided(const float* base, std::size_t row_stride,
                                std::size_t n, double* out) const {
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::fill(out, out + n * k, base_score_);
-  const float* const thr = threshold_.data();
-  const std::uint16_t* const feat = feature_.data();
-  const std::int32_t* const child = left_.data();
-  const double* const leaf = leaf_value_.data();
-  const double scale = learning_rate_;
-  std::int32_t idx[kRowBlock];
-  for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
-    const std::size_t nb = std::min(n - r0, kRowBlock);
-    const float* const block = base + r0 * row_stride;
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::uint32_t j = class_offset_[c]; j < class_offset_[c + 1];
-           ++j) {
-        const std::int32_t root = roots_[j];
-        for (std::size_t r = 0; r < nb; ++r) idx[r] = root;
-        for (std::uint16_t d = 0; d < depth_[j]; ++d) {
-          std::int32_t any_live = 0;
-          for (std::size_t r = 0; r < nb; ++r) {
-            const std::int32_t i = idx[r];
-            const std::int32_t l = child[i];
-            const std::int32_t step =
-                l + static_cast<std::int32_t>(
-                        !(block[r * row_stride + feat[i]] <= thr[i]));
-            // Sign-mask select, not ?: — the ternary compiles to a
-            // data-dependent branch that mispredicts once per row per
-            // tree; the mask keeps the level loop branch-free.
-            const std::int32_t live = ~(l >> 31);
-            any_live |= live;
-            idx[r] = i + ((step - i) & live);
-          }
-          // One predictable branch per level: once every row in the block
-          // is parked on a leaf the remaining levels are all no-ops.
-          if (any_live == 0) break;
-        }
-        double* acc = out + r0 * k + c;
-        for (std::size_t r = 0; r < nb; ++r, acc += k) {
-          *acc += scale * leaf[-child[idx[r]] - 1];
-        }
-      }
-    }
+  for (std::size_t r = 0; r < n; ++r) {
+    score_into(base + r * row_stride, out + r * k);
   }
 }
 

@@ -26,14 +26,12 @@
 // (GbdtClassifier::reference_scores, GbdtRegressor::reference_predict):
 // every score bit is identical to that oracle.
 //
-// There is one kernel per shape. score_into walks one row; score_strided
-// is blocked AND depth-stepped: row blocks of kRowBlock rows stay hot in
-// L1 while the whole arena streams through once per block, and each tree
-// is walked depth-level by depth-level across the whole block with a
-// branch-free conditional-move step (rows parked on a leaf stay parked).
-// A single row's walk is a serial chain of dependent loads; stepping 64
-// independent walks per instruction stream hides that latency and removes
-// the per-row loop-exit mispredict.
+// There is one kernel: score_into walks one row, and score_strided is a
+// plain loop of it over a contiguous strided row block. Measured on the
+// repository's 120- and 300-tree models, a blocked, depth-stepped batch
+// walk never beat the single-row walk by more than host noise at any batch
+// size (1, 8, 64 or a whole trace), and lost 2.5-3x on the single-row
+// batches of the online serving path.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +43,6 @@ namespace byom::ml {
 
 class FlatForest {
  public:
-  // Rows per block of the batch kernels: 64 rows x ~30 features x 4 B
-  // ~= 8 KB of feature data held in L1 while the arena streams.
-  static constexpr std::size_t kRowBlock = 64;
-
   FlatForest() = default;
 
   // Compiles `trees` into the arena. Tree t contributes to class
@@ -71,18 +65,15 @@ class FlatForest {
   // to the per-tree reference walk; allocation-free.
   void score_into(const float* row, double* out) const;
 
-  // Blocked batch scoring over n rows read straight off a contiguous
-  // strided block (row r at base + r * row_stride); fills
-  // out[r * num_classes + k]. Bit-identical to score_into per row.
+  // Batch scoring over n rows read straight off a contiguous strided block
+  // (row r at base + r * row_stride): score_into per row, filling
+  // out[r * num_classes + k].
   void score_strided(const float* base, std::size_t row_stride,
                      std::size_t n, double* out) const;
 
  private:
-  // Compiles one tree into the arena; returns its root slot and writes the
-  // tree's depth (internal levels on the longest root-to-leaf path) to
-  // *depth — the fixed trip count of the batch kernels' level loop.
-  int compile_tree(const std::vector<RegressionTree::Node>& nodes,
-                   std::uint16_t* depth);
+  // Compiles one tree into the arena; returns its root slot.
+  int compile_tree(const std::vector<RegressionTree::Node>& nodes);
 
   int num_classes_ = 0;
   double learning_rate_ = 0.0;
@@ -93,10 +84,8 @@ class FlatForest {
   std::vector<std::int32_t> left_;
   std::vector<double> leaf_value_;
   // Root slots grouped per class: class c's trees (boosting order) are
-  // roots_[class_offset_[c] .. class_offset_[c + 1]); depth_[j] is the
-  // depth of the tree rooted at roots_[j].
+  // roots_[class_offset_[c] .. class_offset_[c + 1]).
   std::vector<std::int32_t> roots_;
-  std::vector<std::uint16_t> depth_;
   std::vector<std::uint32_t> class_offset_;
 };
 

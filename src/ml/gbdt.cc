@@ -27,8 +27,8 @@ void softmax_inplace(std::vector<double>& scores) {
   for (double& s : scores) s /= sum;
 }
 
-// predict() scores into this much stack before falling back to the heap;
-// class counts beyond it are far outside the paper's 15-class regime.
+// predict_batch() scores into this much stack before falling back to the
+// heap; class counts beyond it are far outside the paper's 15-class regime.
 constexpr int kStackClasses = 64;
 
 std::vector<std::uint32_t> subsample_rows(std::size_t n, double fraction,
@@ -140,16 +140,9 @@ std::vector<double> GbdtClassifier::predict_proba(
 }
 
 int GbdtClassifier::predict(const float* features) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  double stack[kStackClasses];
-  std::vector<double> heap;
-  double* buf = stack;
-  if (num_classes_ > kStackClasses) {
-    heap.resize(k);
-    buf = heap.data();
-  }
-  forest_.score_into(features, buf);
-  return static_cast<int>(std::max_element(buf, buf + k) - buf);
+  int out = 0;
+  predict_batch(features, 0, 1, &out);
+  return out;
 }
 
 void GbdtClassifier::scores_batch(const float* base, std::size_t row_stride,
@@ -165,29 +158,21 @@ void GbdtClassifier::reference_scores(const float* row, double* out) const {
   }
 }
 
-namespace {
-
-// Deterministic per-row argmax over a scores block (ties break toward the
-// lower class id, like std::max_element).
-std::vector<int> argmax_rows(const double* scores, std::size_t n,
-                             std::size_t k) {
-  std::vector<int> out(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = scores + r * k;
-    out[r] = static_cast<int>(std::max_element(row, row + k) - row);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<int> GbdtClassifier::predict_batch(const float* base,
-                                               std::size_t row_stride,
-                                               std::size_t n) const {
+void GbdtClassifier::predict_batch(const float* base, std::size_t row_stride,
+                                   std::size_t n, int* out) const {
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> scores(n * k);
-  scores_batch(base, row_stride, n, scores.data());
-  return argmax_rows(scores.data(), n, k);
+  double stack[kStackClasses];
+  std::vector<double> heap;
+  double* scores = stack;
+  if (num_classes_ > kStackClasses) {
+    heap.resize(k);
+    scores = heap.data();
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    forest_.score_into(base + r * row_stride, scores);
+    // Ties break toward the lower class id, like std::max_element.
+    out[r] = static_cast<int>(std::max_element(scores, scores + k) - scores);
+  }
 }
 
 void GbdtClassifier::save(std::ostream& out) const {

@@ -52,13 +52,15 @@ class GbdtClassifier {
 
   // Batched inference over n rows of a contiguous strided block (row r at
   // base + r * row_stride: FeatureMatrix storage, gathered scratch
-  // blocks). scores_batch fills out[r * num_classes() + k]; out must hold
-  // n * num_classes() doubles. Scores are bit-identical to scores_into per
-  // row, classes to predict().
+  // blocks): the single-row kernel per row, so scores are bit-identical to
+  // scores_into and classes to predict(). scores_batch fills
+  // out[r * num_classes() + k] (n * num_classes() doubles); predict_batch
+  // fills out[0 .. n) with each row's argmax, scoring into a stack buffer
+  // without staging an n x k block.
   void scores_batch(const float* base, std::size_t row_stride, std::size_t n,
                     double* out) const;
-  std::vector<int> predict_batch(const float* base, std::size_t row_stride,
-                                 std::size_t n) const;
+  void predict_batch(const float* base, std::size_t row_stride,
+                     std::size_t n, int* out) const;
 
   // Reference oracle: the plain per-tree RegressionTree::predict walk in
   // boosting order, out[t % k] += learning_rate * tree_t(row) over a
@@ -108,8 +110,8 @@ class GbdtRegressor {
   double predict(const float* features) const;
   std::size_t num_trees() const { return trees_.size(); }
 
-  // Batch prediction over a contiguous strided block: fills out[0 .. n)
-  // with per-row predictions, bit-identical to predict().
+  // Batch prediction over a contiguous strided block: predict() per row,
+  // filling out[0 .. n).
   void predict_batch(const float* base, std::size_t row_stride,
                      std::size_t n, double* out) const;
 

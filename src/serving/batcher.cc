@@ -52,29 +52,31 @@ bool Batcher::run_once() {
   }
 
   const bool size_triggered = batch.size() >= config_.max_batch;
-  execute(std::move(batch), size_triggered);
+  execute(batch, size_triggered);
   return true;
 }
 
 std::size_t Batcher::drain() {
-  std::size_t total = 0;
   // size() is a lock-free read: an empty queue (the common case, one
-  // lookup per placement decision) returns without allocating, and a
-  // non-empty one sizes the batch to what is queued, not to max_batch.
-  while (const std::size_t queued = queue_->size()) {
-    std::vector<InferenceRequest> batch;
-    batch.reserve(std::min(queued, config_.max_batch));
-    if (queue_->pop_batch(batch, config_.max_batch,
+  // lookup per placement decision) returns without locking or allocating.
+  if (queue_->size() == 0) return 0;
+  std::size_t total = 0;
+  common::MutexLock lock(drain_mutex_);
+  while (queue_->size() != 0) {
+    // clear() keeps the capacity: the buffer stops allocating once it has
+    // held the largest batch.
+    drain_batch_.clear();
+    if (queue_->pop_batch(drain_batch_, config_.max_batch,
                           std::chrono::milliseconds(0)) == 0) {
       break;
     }
-    total += batch.size();
-    execute(std::move(batch), batch.size() >= config_.max_batch);
+    total += drain_batch_.size();
+    execute(drain_batch_, drain_batch_.size() >= config_.max_batch);
   }
   return total;
 }
 
-void Batcher::execute(std::vector<InferenceRequest>&& batch,
+void Batcher::execute(const std::vector<InferenceRequest>& batch,
                       bool size_triggered) {
   if (batch.empty()) return;
   ++batches_;
@@ -83,7 +85,7 @@ void Batcher::execute(std::vector<InferenceRequest>&& batch,
   } else {
     ++deadline_flushes_;
   }
-  execute_(std::move(batch));
+  execute_(batch);
 }
 
 }  // namespace byom::serving

@@ -4,7 +4,7 @@
 // PlacementService) on either of two triggers:
 //
 //   * size:     the batch reached `max_batch` requests (amortizes the
-//               per-batch forest traversal across many jobs), or
+//               per-batch registry lookup and hand-off across many jobs), or
 //   * deadline: `flush_deadline` elapsed since the first request of the
 //               batch arrived (bounds hint latency under light load).
 //
@@ -20,6 +20,8 @@
 #include <functional>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "serving/inference_queue.h"
 
 namespace byom::serving {
@@ -31,7 +33,9 @@ struct BatcherConfig {
 
 class Batcher {
  public:
-  using BatchFn = std::function<void(std::vector<InferenceRequest>&&)>;
+  // Receives each batch by reference: the batcher owns its storage (and
+  // reuses drain()'s across calls), so the callee must not keep it.
+  using BatchFn = std::function<void(const std::vector<InferenceRequest>&)>;
 
   // `queue` is borrowed and must outlive the batcher.
   Batcher(InferenceRequestQueue* queue, const BatcherConfig& config,
@@ -44,9 +48,11 @@ class Batcher {
 
   // Flushes everything queued at call time in arrival order, without
   // waiting. Returns the number of requests executed. Deterministic: the
-  // result depends only on queue contents, never on timing. No allocation
-  // when empty (hotpath_test pins it): an empty queue returns 0 before any
-  // batch buffer exists, and a non-empty one reserves only what is queued.
+  // result depends only on queue contents, never on timing. An empty queue
+  // returns 0 before taking any lock, and a non-empty one pops into one
+  // batch buffer reused across drains, so neither allocates in steady
+  // state (hotpath_test pins both). Concurrent drains serialize on the
+  // buffer's lock.
   std::size_t drain();
 
   // Flush-trigger counters (size + deadline == batches). run_once() may be
@@ -56,11 +62,14 @@ class Batcher {
   std::uint64_t deadline_flushes() const { return deadline_flushes_.load(); }
 
  private:
-  void execute(std::vector<InferenceRequest>&& batch, bool size_triggered);
+  void execute(const std::vector<InferenceRequest>& batch,
+               bool size_triggered);
 
   InferenceRequestQueue* queue_;
   BatcherConfig config_;
   BatchFn execute_;
+  common::Mutex drain_mutex_;
+  std::vector<InferenceRequest> drain_batch_ BYOM_GUARDED_BY(drain_mutex_);
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> size_flushes_{0};
   std::atomic<std::uint64_t> deadline_flushes_{0};

@@ -51,6 +51,15 @@ void InferenceRequestQueue::notify_not_empty() {
   not_empty_.notify_one();
 }
 
+void InferenceRequestQueue::append(Stripe& stripe, InferenceRequest&& request) {
+  if (stripe.spare.empty()) {
+    stripe.items.push_back(std::move(request));
+    return;
+  }
+  stripe.spare.front() = std::move(request);
+  stripe.items.splice(stripe.items.end(), stripe.spare, stripe.spare.begin());
+}
+
 bool InferenceRequestQueue::try_push(InferenceRequest request) {
   Stripe& stripe = *stripes_[stripe_of(request.job.job_id)];
   {
@@ -60,7 +69,7 @@ bool InferenceRequestQueue::try_push(InferenceRequest request) {
         stripe.items.size() >= stripe_capacity_) {
       return false;
     }
-    stripe.items.push_back(std::move(request));
+    append(stripe, std::move(request));
     // size_ changes only alongside its item, under the item's stripe lock,
     // so the aggregate can never go negative-transient (underflow).
     // atomic: release — pairs with the acquire loads in wake_ready()/size()
@@ -81,7 +90,7 @@ bool InferenceRequestQueue::push(InferenceRequest request) {
     }
     // atomic: acquire — pairs with shutdown()'s release store
     if (shutdown_.load(std::memory_order_acquire)) return false;
-    stripe.items.push_back(std::move(request));
+    append(stripe, std::move(request));
     // atomic: release — pairs with the acquire loads in wake_ready()/size()
     size_.fetch_add(1, std::memory_order_release);
   }
@@ -104,7 +113,9 @@ std::size_t InferenceRequestQueue::sweep(std::vector<InferenceRequest>& out,
       common::MutexLock lock(stripe.mutex);
       while (popped < max_batch && !stripe.items.empty()) {
         out.push_back(std::move(stripe.items.front()));
-        stripe.items.pop_front();
+        // The emptied node waits on `spare` for the next push.
+        stripe.spare.splice(stripe.spare.begin(), stripe.items,
+                            stripe.items.begin());
         // atomic: release — keeps size_ publication symmetric with the
         // producers; pairs with the acquire loads in wake_ready()/size()
         size_.fetch_sub(1, std::memory_order_release);

@@ -10,8 +10,8 @@
 // provider rather than block.
 //
 // Striping (the million-RPS serving path): the queue is built from
-// `num_stripes` independent deques, each behind its own mutex, with requests
-// mapped to a stripe by a mix of their job id. Producers landing on
+// `num_stripes` independent FIFO buffers, each behind its own mutex, with
+// requests mapped to a stripe by a mix of their job id. Producers landing on
 // different stripes never contend on a lock; consumers sweep the stripes
 // from a rotating cursor so they spread across them too. The only shared
 // lock is a "gate" mutex that an *idle* consumer takes to block on the
@@ -31,7 +31,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -110,9 +110,16 @@ class InferenceRequestQueue {
     mutable common::Mutex mutex;
     // Per-stripe so a blocking producer waits on its own stripe's slot.
     common::CondVar not_full;
-    std::deque<InferenceRequest> items BYOM_GUARDED_BY(mutex);
+    // FIFO of queued requests. A popped request's node is spliced onto
+    // `spare` instead of being freed, and the next push reuses it, so a
+    // stripe stops allocating once it has held its largest backlog.
+    std::list<InferenceRequest> items BYOM_GUARDED_BY(mutex);
+    std::list<InferenceRequest> spare BYOM_GUARDED_BY(mutex);
   };
 
+  // Enqueues `request` on `stripe`, reusing a spare node when one exists.
+  static void append(Stripe& stripe, InferenceRequest&& request)
+      BYOM_REQUIRES(stripe.mutex);
   // Pops up to `max_batch` requests into `out`, sweeping every stripe once
   // from the rotating cursor. Lock scope is one stripe at a time.
   std::size_t sweep(std::vector<InferenceRequest>& out, std::size_t max_batch);

@@ -39,8 +39,8 @@ PlacementService::Shard::Shard(PlacementService* service,
                                const PlacementServiceConfig& config)
     : queue(config.queue_capacity, config.queue_stripes),
       batcher(&queue, BatcherConfig{config.max_batch, config.flush_deadline},
-              [service, this](std::vector<InferenceRequest>&& batch) {
-                service->execute_batch(*this, std::move(batch));
+              [service, this](const std::vector<InferenceRequest>& batch) {
+                service->execute_batch(*this, batch);
               }) {}
 
 PlacementService::PlacementService(
@@ -250,24 +250,31 @@ void PlacementService::deliver_virtual(std::uint64_t job_id) {
   if (hint.missed) shard.late.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PlacementService::execute_batch(Shard& shard,
-                                     std::vector<InferenceRequest>&& batch) {
+void PlacementService::execute_batch(
+    Shard& shard, const std::vector<InferenceRequest>& batch) {
+  BatchBuffers local;
+  BatchBuffers& buffers = deterministic() ? shard.drain_buffers : local;
   // One registry-grouped predict_batch pass — the exact code path offline
   // precomputation uses, which is what makes served hints bit-identical to
   // offline-batched hints (per-job results are independent of batch
   // composition, so shard/stripe interleaving cannot change them). The
-  // jobs stay inside their requests; the pass reads them by pointer.
-  std::vector<const trace::Job*> jobs;
-  jobs.reserve(batch.size());
-  for (const auto& request : batch) jobs.push_back(&request.job);
-  const core::CategoryHints hints = core::precompute_categories(
+  // jobs stay inside their requests; the pass reads them by pointer and
+  // writes request b's category to categories[b].
+  buffers.jobs.clear();
+  for (const auto& request : batch) buffers.jobs.push_back(&request.job);
+  buffers.categories.resize(batch.size());
+  core::predict_categories_into(
       *registry_,
-      common::Span<const trace::Job* const>(jobs.data(), jobs.size()),
-      config_.fallback_num_categories, config_.feature_matrix.get());
+      common::Span<const trace::Job* const>(buffers.jobs.data(),
+                                            buffers.jobs.size()),
+      config_.fallback_num_categories, config_.feature_matrix.get(),
+      buffers.categories.data(), buffers.pass);
+  const std::vector<int>& categories = buffers.categories;
 
   if (virtual_time()) {
     const double now = config_.clock->now();
-    for (const auto& request : batch) {
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const InferenceRequest& request = batch[b];
       const std::uint64_t job_id = request.job.job_id;
       const double latency =
           config_.latency_model
@@ -275,7 +282,7 @@ void PlacementService::execute_batch(Shard& shard,
               : 0.0;
       const double ready = request.virtual_enqueued_at + latency;
       if (ready <= now) {
-        publish_virtual(shard, job_id, hints.at(job_id), latency);
+        publish_virtual(shard, job_id, categories[b], latency);
         continue;
       }
       {
@@ -284,7 +291,7 @@ void PlacementService::execute_batch(Shard& shard,
           continue;  // duplicate request for an already-served job
         }
         shard.in_flight.emplace(job_id,
-                                InFlightHint{hints.at(job_id), ready, latency,
+                                InFlightHint{categories[b], ready, latency,
                                              /*missed=*/false});
       }
       config_.clock->schedule_typed(ready, sim::SimClock::kHintReadyPriority,
@@ -300,12 +307,11 @@ void PlacementService::execute_batch(Shard& shard,
   const auto now = std::chrono::steady_clock::now();
   {
     common::MutexLock lock(shard.results_mutex);
-    for (const auto& request : batch) {
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const InferenceRequest& request = batch[b];
       // First publication wins; a duplicate request for an already-served
       // job completes without recounting stats.
-      if (!shard.results
-               .emplace(request.job.job_id, hints.at(request.job.job_id))
-               .second) {
+      if (!shard.results.emplace(request.job.job_id, categories[b]).second) {
         continue;
       }
       ++shard.completed;

@@ -53,9 +53,13 @@
 //
 // Category values are produced by the same registry-grouped
 // ModelBackend::predict_batch pass as the offline path
-// (core::precompute_categories) — per-job hints are independent of batch
-// composition — so served hints are bit-identical to offline-batched hints
-// whenever every request completes in time, at any shard count.
+// (core::predict_categories_into, behind core::precompute_categories) —
+// per-job hints are independent of batch composition — so served hints are
+// bit-identical to offline-batched hints whenever every request completes
+// in time, at any shard count. A deterministic-mode drain runs that pass
+// in per-shard buffers reused across drains, so a steady-state
+// single-request round trip allocates only what it keeps: the request's
+// copy of its job and the published hint's table entry.
 //
 // Backend resolution is epoch-published (core/model_registry.h): each batch
 // loads an immutable snapshot through an atomic slot, so registry hot-swaps
@@ -249,6 +253,14 @@ class PlacementService : public sim::HintService {
     bool missed = false;
   };
 
+  // Buffers of one batch execution: the batch's job pointers and
+  // categories plus the core inference pass's own.
+  struct BatchBuffers {
+    std::vector<const trace::Job*> jobs;
+    std::vector<int> categories;
+    core::InferencePassBuffers pass;
+  };
+
   // One independent serving lane. Lives behind a unique_ptr so `this` stays
   // stable for the batcher callback and the worker threads.
   struct Shard {
@@ -279,6 +291,11 @@ class PlacementService : public sim::HintService {
     std::atomic<std::uint64_t> on_time{0};
     std::atomic<std::uint64_t> late{0};
 
+    // Deterministic modes execute batches only inside batcher.drain(),
+    // which holds the batcher's drain lock, so these are never shared;
+    // threaded workers run batches concurrently and bring their own.
+    BatchBuffers drain_buffers;
+
     // Virtual-time mode state (single shard; guarded by results_mutex for
     // consistency with the results table).
     std::unordered_map<std::uint64_t, InFlightHint> in_flight
@@ -294,7 +311,7 @@ class PlacementService : public sim::HintService {
     return *shards_[shard_of(job.job_key)];
   }
 
-  void execute_batch(Shard& shard, std::vector<InferenceRequest>&& batch);
+  void execute_batch(Shard& shard, const std::vector<InferenceRequest>& batch);
   void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
                        double virtual_latency);
   void deliver_virtual(std::uint64_t job_id);

@@ -209,9 +209,9 @@ TEST_F(CategoryModelTest, PredictBlockOverPaddedRows) {
     model().extractor().extract_into(
         jobs[i], common::Span<float>(block.data() + i * stride, width));
   }
-  const auto batched =
-      model().predict_block(FeatureBlock{block.data(), stride, jobs.size()});
-  ASSERT_EQ(batched.size(), jobs.size());
+  std::vector<int> batched(jobs.size(), -1);
+  model().predict_block(FeatureBlock{block.data(), stride, jobs.size()},
+                        batched.data());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(batched[i], model().predict_category(jobs[i]));
   }
@@ -219,8 +219,9 @@ TEST_F(CategoryModelTest, PredictBlockOverPaddedRows) {
 
 TEST(CategoryModel, LoadRejectsModelsThatDoNotFitTheSchema) {
   const std::string leaf = "1 -1 0 -1 -1 0.5\n";
+  // A two-category labeler has no interior thresholds (N - 2 == 0).
   const std::string labeler =
-      "category_model v1\ncategory_labeler v1\n2 1\n1\n";
+      "category_model v1\ncategory_labeler v1\n2 0\n\n";
   const auto classifier = [&](int feature) {
     return "gbdt_classifier v1\n2 2 0.1\n3\n0 " + std::to_string(feature) +
            " 0.5 1 2 0\n" + leaf + leaf + "1\n" + leaf;
@@ -237,9 +238,51 @@ TEST(CategoryModel, LoadRejectsModelsThatDoNotFitTheSchema) {
   EXPECT_THROW(CategoryModel::load(far_past_schema), std::runtime_error);
 
   std::stringstream class_mismatch(
-      "category_model v1\ncategory_labeler v1\n3 2\n1 2\n" +
-      classifier(0));
+      "category_model v1\ncategory_labeler v1\n3 1\n1\n" + classifier(0));
   EXPECT_THROW(CategoryModel::load(class_mismatch), std::runtime_error);
+}
+
+TEST(CategoryModel, LabelerLoadRejectsThresholdCountsOutsideTheSchema) {
+  // category_of returns up to 1 + threshold count, so a labeler with N
+  // categories may carry at most N - 2 thresholds; anything else would
+  // index past category_histogram's N counters.
+  const auto load = [](const std::string& body) {
+    std::stringstream in("category_labeler v1\n" + body);
+    return CategoryLabeler::load(in);
+  };
+  const struct {
+    const char* body;
+    bool ok;
+  } cases[] = {
+      {"0 0\n\n", true},            // unfitted round trip
+      {"2 0\n\n", true},            // smallest fitted labeler
+      {"3 1\n0.5\n", true},         // N - 2 thresholds
+      {"5 2\n1 2\n", true},         // fewer than N - 2 (deduplicated cuts)
+      {"3 5\n1 2 3 4 5\n", false},  // category_of would reach 6
+      {"3 2\n1 2\n", false},        // one past N - 2
+      {"2 1\n1\n", false},
+      {"0 1\n1\n", false},          // unfitted with thresholds
+      {"1 0\n\n", false},           // a single category is never fitted
+      {"-3 0\n\n", false},
+      {"3 -1\n\n", false},          // was std::length_error before
+      {"5 -1000000\n", false},
+      {"15 13\n1 2 3\n", false},    // truncated thresholds
+      {"15\n", false},               // truncated header
+      {"15 x\n", false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.body);
+    if (c.ok) {
+      EXPECT_NO_THROW(load(c.body));
+    } else {
+      EXPECT_THROW(load(c.body), std::runtime_error);
+    }
+  }
+  // A loaded labeler honors its category range.
+  const auto loaded = load("3 1\n0.5\n");
+  EXPECT_EQ(loaded.category_of(job_with(1.0, 1e12)), 2);
+  EXPECT_EQ(loaded.category_histogram({job_with(1.0, 1e12)}),
+            (std::vector<int>{0, 0, 1}));
 }
 
 TEST(CategoryModel, EmptyTrainingThrows) {

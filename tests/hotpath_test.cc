@@ -236,7 +236,7 @@ TEST(AllocationGuard, EmptyBatcherDrainIsAllocationFree) {
   std::size_t executed = 0;
   serving::Batcher batcher(
       &queue, serving::BatcherConfig{},
-      [&](std::vector<serving::InferenceRequest>&& batch) {
+      [&](const std::vector<serving::InferenceRequest>& batch) {
         executed += batch.size();
       });
   const std::uint64_t before = allocations();
@@ -272,6 +272,58 @@ TEST(AllocationGuard, PublishedHintLookupIsAllocationFree) {
     EXPECT_EQ(allocations(), before)
         << "wait_for allocated on a published-hint hit";
   }
+}
+
+TEST(AllocationGuard, ServedSingleRequestRoundTrip) {
+  // One virtual-time enqueue + wait_for round trip at zero latency with a
+  // GBDT default model: the drain pops the single request into the
+  // batcher's reused buffer, the registry-grouped pass scores it into the
+  // shard's reused buffers, and the hint is published. In steady state
+  // the only allocations left are the two things the round trip keeps:
+  //   * the request's copy of its job (InferenceRequest::job — the job's
+  //     strings that do not fit the small-string buffer), and
+  //   * the published hint's results-table node (plus the table's bucket
+  //     array whenever it grows).
+  // A mirror copy of the job and a mirror core::CategoryHints table fed
+  // the same job ids count exactly those, request by request.
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(core::train_backend(
+      core::BackendKind::kGbdt, split().train.jobs(), small_backend_config()));
+  serving::PlacementServiceConfig config;
+  config.num_threads = 0;
+  config.fallback_num_categories = 6;
+  config.clock = std::make_shared<sim::SimClock>();
+  serving::PlacementService service(registry, config);
+  const auto& jobs = split().test.jobs();
+  constexpr std::size_t kWarmup = 64;
+  ASSERT_GT(jobs.size(), kWarmup + 256);
+
+  core::CategoryHints mirror;
+  for (std::size_t i = 0; i < kWarmup; ++i) {
+    ASSERT_TRUE(service.enqueue(jobs[i]));
+    ASSERT_TRUE(service.wait_for(jobs[i]).has_value());
+    mirror.emplace(jobs[i].job_id, 0);
+  }
+  std::uint64_t served = 0;
+  std::uint64_t kept = 0;
+  for (std::size_t i = kWarmup; i < jobs.size(); ++i) {
+    std::uint64_t before = allocations();
+    const trace::Job copy = jobs[i];
+    mirror.emplace(copy.job_id, 0);
+    const std::uint64_t expected = allocations() - before;
+
+    before = allocations();
+    ASSERT_TRUE(service.enqueue(jobs[i]));
+    ASSERT_TRUE(service.wait_for(jobs[i]).has_value());
+    const std::uint64_t actual = allocations() - before;
+    EXPECT_EQ(actual, expected) << "request " << i;
+    served += actual;
+    kept += expected;
+  }
+  EXPECT_EQ(served, kept);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.on_time, jobs.size());
+  EXPECT_EQ(stats.batches, jobs.size());
 }
 
 // ---------------------------------------------------- typed event engine

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -278,10 +280,10 @@ TEST(GbdtClassifier, BatchPredictionMatchesPerRow) {
   // contiguous, so the whole dataset is one strided block.
   const std::size_t n = data.num_rows();
   const std::size_t stride = data.num_features();
-  const auto batched = model.predict_batch(data.row(0), stride, n);
+  std::vector<int> batched(n, -1);
+  model.predict_batch(data.row(0), stride, n, batched.data());
   std::vector<double> batch_scores(n * 3);
   model.scores_batch(data.row(0), stride, n, batch_scores.data());
-  ASSERT_EQ(batched.size(), n);
   for (std::size_t r = 0; r < n; ++r) {
     EXPECT_EQ(batched[r], model.predict(data.row(r)));
     const auto expected = model.scores(data.row(r));
@@ -410,14 +412,13 @@ TEST(FlatForest, CompiledScoresMatchReferenceOnEdgeCaseRows) {
     std::copy(rows[r].begin(), rows[r].end(), block.begin() + r * stride);
   }
 
-  // Edge batch sizes around the kernel's row-block boundary (64): empty,
-  // single row, one-off-the-block, exact block, block+1, two-blocks+2.
+  // Edge batch sizes: empty, single row, and sizes around 64 and 128.
   double reference[3], single[3];
   for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
     std::vector<double> batch(n * 3, -1.0);
     model.scores_batch(block.data(), stride, n, batch.data());
-    const auto classes = model.predict_batch(block.data(), stride, n);
-    ASSERT_EQ(classes.size(), n);
+    std::vector<int> classes(n, -1);
+    model.predict_batch(block.data(), stride, n, classes.data());
     for (std::size_t r = 0; r < n; ++r) {
       const float* row = rows[r].data();
       model.reference_scores(row, reference);
@@ -481,7 +482,9 @@ TEST(FlatForest, UntrainedLoadStaysUncompiled) {
   EXPECT_FALSE(loaded.compiled_forest().compiled());
   const float row[1] = {0.0f};
   EXPECT_TRUE(loaded.scores(row).empty());
-  EXPECT_TRUE(loaded.predict_batch(row, 1, 0).empty());
+  int untouched = -1;
+  loaded.predict_batch(row, 1, 0, &untouched);
+  EXPECT_EQ(untouched, -1);
 }
 
 TEST(FlatForest, RegressorCompiledMatchesReference) {
@@ -505,7 +508,7 @@ TEST(FlatForest, RegressorCompiledMatchesReference) {
   }
 
   // Strided batch (Dataset storage is row-major contiguous) across the
-  // same block-boundary edge sizes as the classifier suite.
+  // same edge sizes as the classifier suite.
   for (const std::size_t n : {0u, 1u, 64u, 65u, 130u}) {
     std::vector<double> batch(n, -1.0);
     model.predict_batch(data.row(0), data.num_features(), n, batch.data());
@@ -521,6 +524,171 @@ TEST(FlatForest, RegressorCompiledMatchesReference) {
   for (std::size_t r = 0; r < 100; ++r) {
     EXPECT_EQ(model.predict(data.row(r)), loaded.predict(data.row(r)));
   }
+}
+
+// Seeded randomized differential check of the forest kernel: about a
+// thousand random forests, built through the text loaders (which compile
+// them), scored on rows full of NaN, +-inf and exact threshold values.
+// Every batch entry point must equal the per-tree reference oracle
+// EXPECT_EQ-exactly at every batch size.
+struct RandomForestText {
+  std::string classifier;  // gbdt_classifier v1
+  std::string regressor;   // gbdt_regressor v1 over the same trees
+  int num_classes = 1;
+  std::size_t num_features = 1;
+  std::vector<float> thresholds;
+};
+
+void append_random_tree(Rng& rng, std::size_t num_features,
+                        const std::vector<float>& thresholds, int max_depth,
+                        std::ostream& out) {
+  // Shape: empty (predicts 0), a depth-0 leaf root, or a random tree of
+  // depth <= max_depth whose branches stop early at random.
+  const double shape = rng.uniform();
+  std::vector<RegressionTree::Node> nodes;
+  if (shape >= 0.1) {
+    const auto grow = [&](const auto& self, int depth) -> int {
+      const int index = static_cast<int>(nodes.size());
+      nodes.emplace_back();
+      const bool split =
+          shape >= 0.25 && depth < max_depth && rng.uniform() < 0.8;
+      if (!split) {
+        nodes[static_cast<std::size_t>(index)].value = rng.uniform(-2.0, 2.0);
+        return index;
+      }
+      RegressionTree::Node node;
+      node.leaf = false;
+      node.feature = static_cast<int>(rng.uniform_index(num_features));
+      node.threshold = thresholds[rng.uniform_index(thresholds.size())];
+      node.left = self(self, depth + 1);
+      node.right = self(self, depth + 1);
+      nodes[static_cast<std::size_t>(index)] = node;
+      return index;
+    };
+    grow(grow, 0);
+  }
+  out << nodes.size() << '\n';
+  for (const auto& n : nodes) {
+    out << n.leaf << ' ' << n.feature << ' ' << n.threshold << ' ' << n.left
+        << ' ' << n.right << ' ' << n.value << '\n';
+  }
+}
+
+RandomForestText random_forest(std::uint64_t seed) {
+  Rng rng(seed);
+  RandomForestText forest;
+  forest.num_classes = rng.bernoulli(0.3)
+                           ? 1
+                           : 2 + static_cast<int>(rng.uniform_index(5));
+  forest.num_features = 1 + rng.uniform_index(8);
+  // A small threshold pool, so rows can hit split values exactly.
+  const std::size_t pool = 1 + rng.uniform_index(6);
+  for (std::size_t i = 0; i < pool; ++i) {
+    forest.thresholds.push_back(static_cast<float>(rng.uniform(-4.0, 4.0)));
+  }
+  const int rounds = static_cast<int>(rng.uniform_index(6));
+  const int max_depth = static_cast<int>(rng.uniform_index(7));
+  const double learning_rate = rng.uniform(0.01, 1.0);
+  const double base = rng.uniform(-1.0, 1.0);
+
+  std::ostringstream trees;
+  trees << std::setprecision(std::numeric_limits<double>::max_digits10);
+  const int num_trees = rounds * forest.num_classes;
+  for (int t = 0; t < num_trees; ++t) {
+    append_random_tree(rng, forest.num_features, forest.thresholds, max_depth,
+                       trees);
+  }
+  std::ostringstream header;
+  header << std::setprecision(std::numeric_limits<double>::max_digits10);
+  header << "gbdt_classifier v1\n"
+         << forest.num_classes << ' ' << num_trees << ' ' << learning_rate
+         << '\n';
+  forest.classifier = header.str() + trees.str();
+  header.str("");
+  header << "gbdt_regressor v1\n"
+         << num_trees << ' ' << base << ' ' << learning_rate << '\n';
+  forest.regressor = header.str() + trees.str();
+  return forest;
+}
+
+TEST(FlatForest, RandomForestsMatchReferenceAtEveryBatchSize) {
+  constexpr std::size_t kRows = 130;
+  constexpr std::size_t kPad = 3;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::size_t nan_rows = 0;
+  std::size_t split_trees = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomForestText text = random_forest(seed);
+    std::istringstream classifier_in(text.classifier);
+    std::istringstream regressor_in(text.regressor);
+    const GbdtClassifier classifier = GbdtClassifier::load(classifier_in);
+    const GbdtRegressor regressor = GbdtRegressor::load(regressor_in);
+    for (const auto& tree : classifier.trees()) {
+      if (tree.num_nodes() > 1) ++split_trees;
+    }
+
+    // Padded strided block: rows mix NaN, +-inf, pool thresholds (exact
+    // split values) and plain uniforms.
+    Rng rng(seed ^ 0x5eedULL);
+    const std::size_t width = text.num_features;
+    const std::size_t stride = width + kPad;
+    std::vector<float> block(kRows * stride, -99.0f);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      bool has_nan = false;
+      for (std::size_t f = 0; f < width; ++f) {
+        float& x = block[r * stride + f];
+        const double pick = rng.uniform();
+        if (pick < 0.15) {
+          x = nan;
+          has_nan = true;
+        } else if (pick < 0.25) {
+          x = rng.bernoulli(0.5) ? inf : -inf;
+        } else if (pick < 0.6) {
+          x = text.thresholds[rng.uniform_index(text.thresholds.size())];
+        } else {
+          x = static_cast<float>(rng.uniform(-5.0, 5.0));
+        }
+      }
+      if (has_nan) ++nan_rows;
+    }
+
+    const auto k = static_cast<std::size_t>(text.num_classes);
+    std::vector<double> reference(kRows * k);
+    std::vector<int> reference_class(kRows);
+    std::vector<double> reference_regression(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float* row = block.data() + r * stride;
+      double* scores = reference.data() + r * k;
+      classifier.reference_scores(row, scores);
+      reference_class[r] =
+          static_cast<int>(std::max_element(scores, scores + k) - scores);
+      reference_regression[r] = regressor.reference_predict(row);
+    }
+
+    for (const std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 130u}) {
+      std::vector<double> scores(n * k, -1.0);
+      classifier.scores_batch(block.data(), stride, n, scores.data());
+      std::vector<int> classes(n, -1);
+      classifier.predict_batch(block.data(), stride, n, classes.data());
+      std::vector<double> predictions(n, -1.0);
+      regressor.predict_batch(block.data(), stride, n, predictions.data());
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+          EXPECT_EQ(scores[r * k + c], reference[r * k + c])
+              << "n=" << n << " r=" << r << " c=" << c;
+        }
+        EXPECT_EQ(classes[r], reference_class[r]) << "n=" << n << " r=" << r;
+        EXPECT_EQ(predictions[r], reference_regression[r])
+            << "n=" << n << " r=" << r;
+      }
+      if (HasFailure()) return;  // one forest's report is enough
+    }
+  }
+  // The draw really exercised what it is meant to.
+  EXPECT_GT(nan_rows, 10000u);
+  EXPECT_GT(split_trees, 1000u);
 }
 
 TEST(GbdtRegressor, FitsQuadratic) {

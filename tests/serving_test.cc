@@ -137,7 +137,7 @@ TEST(Batcher, SizeTriggeredFlush) {
   config.max_batch = 4;
   config.flush_deadline = milliseconds(1000);  // deadline never fires
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](const std::vector<InferenceRequest>& batch) {
                     batch_sizes.push_back(batch.size());
                   });
   for (std::uint64_t id = 1; id <= 8; ++id) {
@@ -160,7 +160,7 @@ TEST(Batcher, DeadlineTriggeredFlush) {
   config.max_batch = 100;  // size trigger unreachable
   config.flush_deadline = milliseconds(5);
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](const std::vector<InferenceRequest>& batch) {
                     batch_sizes.push_back(batch.size());
                   });
   for (std::uint64_t id = 1; id <= 3; ++id) {
@@ -179,7 +179,7 @@ TEST(Batcher, DrainFlushesEverythingWithoutWaiting) {
   BatcherConfig config;
   config.max_batch = 2;
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](const std::vector<InferenceRequest>& batch) {
                     executed += batch.size();
                   });
   for (std::uint64_t id = 1; id <= 5; ++id) {
@@ -198,7 +198,7 @@ TEST(Batcher, RunOnceReturnsFalseOnceShutDownAndDrained) {
   config.flush_deadline = milliseconds(1);
   std::size_t executed = 0;
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](const std::vector<InferenceRequest>& batch) {
                     executed += batch.size();
                   });
   ASSERT_TRUE(queue.try_push(request_for(1)));

@@ -13,7 +13,8 @@ and writes a stable, diff-friendly summary: per-benchmark timings plus the
 derived hot-path ratios the ROADMAP tracks (event-engine overhead vs the
 synchronous simulator, SimClock's event heap vs a plain std::priority_queue,
 in-place vs allocating feature extraction, compiled forest inference vs the
-per-tree reference walk, sharded serving throughput scaling). The
+per-tree reference walk, the served single-request round trip vs the bare
+single-row kernel, sharded serving throughput scaling). The
 summary is committed as BENCH_microbench.json so the perf trajectory is
 visible PR-over-PR.
 
@@ -68,6 +69,10 @@ RATIOS = [
         "better": "higher",
     },
     {
+        # Per-job predict_category (extract one row, score it) over
+        # predict_categories (gather every row, then score the block). Both
+        # sides run the same single-row forest kernel, so the ratio measures
+        # the extraction/gather shape, not the traversal.
         "key": "per_job_vs_batch_x",
         "numerator": "BM_InferencePerJob",
         "denominator": "BM_InferenceBatch",
@@ -75,9 +80,9 @@ RATIOS = [
         "better": "higher",
     },
     {
-        # Compiled flat-forest kernel (SoA arena, blocked traversal) over
-        # the reference oracle (plain per-tree walk per row), both reading
-        # the same shared feature matrix.
+        # Compiled flat-forest kernel (SoA arena, the single-row walk per
+        # row) over the reference oracle (plain per-tree walk per row), both
+        # reading the same shared feature matrix.
         "key": "compiled_vs_reference_x",
         "numerator": "BM_InferenceReference",
         "denominator": "BM_InferenceCompiled",
@@ -94,6 +99,18 @@ RATIOS = [
         "numerator": "BM_SimulatorReplayStream",
         "denominator": "BM_SimulatorReplayMaterialized",
         "metric": "real_time",
+        "better": "lower",
+    },
+    {
+        # The online single-request serving pass (enqueue, drain a batch of
+        # one, registry-grouped scoring, publish, lookup) over the bare
+        # single-row kernel on a pre-extracted row: how many times the
+        # kernel's cost one served hint takes. Both are items/s, so the
+        # kernel's rate is the numerator.
+        "key": "served_round_trip_vs_single_row_x",
+        "numerator": "BM_InferenceCompiledPerJob",
+        "denominator": "BM_ServedHintLatency/1",
+        "metric": "items_per_second",
         "better": "lower",
     },
     {

@@ -473,20 +473,15 @@ PolicyContext MethodFactory::make_context(MethodId id,
       return make_served_latency_context(
           test.start_time(), std::max<std::size_t>(1024, test.size()),
           feature_matrix(test), adaptive, options);
-    case MethodId::kOracleTco: {
-      const auto solution = oracle::solve_greedy(
-          test.jobs(), ssd_capacity_bytes, oracle::Objective::kTco,
-          cost_model_);
-      context.policy = std::make_unique<policy::OracleReplayPolicy>(
-          "OracleTCO", test.jobs(), solution);
-      return context;
-    }
+    case MethodId::kOracleTco:
     case MethodId::kOracleTcio: {
       const auto solution = oracle::solve_greedy(
-          test.jobs(), ssd_capacity_bytes, oracle::Objective::kTcio,
+          test.jobs(), ssd_capacity_bytes,
+          id == MethodId::kOracleTco ? oracle::Objective::kTco
+                                     : oracle::Objective::kTcio,
           cost_model_);
       context.policy = std::make_unique<policy::OracleReplayPolicy>(
-          "OracleTCIO", test.jobs(), solution);
+          method_name(id), test.jobs(), solution);
       return context;
     }
   }

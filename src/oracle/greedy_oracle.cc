@@ -3,114 +3,33 @@
 #include <algorithm>
 #include <vector>
 
+#include "oracle/candidates.h"
 #include "oracle/timeline.h"
 
 namespace byom::oracle {
 
 namespace {
 
-struct Candidate {
-  std::size_t index;
-  double value;
-  double size;
-  double a, e;
-  double density;  // value per byte-second
-};
-
 struct GreedyRun {
-  std::vector<bool> selected;  // parallel to the candidate order used
+  std::vector<bool> selected;  // parallel to the candidates
   double total_value = 0.0;
 };
 
-// One greedy + local-search pass over candidates in the given order.
-// `cands` must be sorted by decreasing density for the local-search
-// early-exit to be valid; `order` is the admission order to try.
-GreedyRun run_pass(const std::vector<Candidate>& cands,
-                   const std::vector<std::size_t>& order,
-                   const std::vector<double>& points, double capacity,
-                   const GreedyOptions& options) {
-  CapacityTimeline timeline(points);
+// One greedy pass: admit candidates in `order` while they fit.
+GreedyRun run_pass(const CandidateSet& set,
+                   const std::vector<std::size_t>& order, double capacity) {
+  CapacityTimeline timeline(set.points);
   GreedyRun run;
-  run.selected.assign(cands.size(), false);
-  std::vector<std::size_t> rejected;
-
+  run.selected.assign(set.cands.size(), false);
   for (std::size_t i : order) {
-    const Candidate& c = cands[i];
+    const Candidate& c = set.cands[i];
     if (c.value <= 0.0) continue;  // never helps the objective
     if (c.size > capacity) continue;
     if (timeline.max_in(c.a, c.e) + c.size <= capacity + 1e-6) {
       timeline.add(c.a, c.e, c.size);
       run.selected[i] = true;
       run.total_value += c.value;
-    } else {
-      rejected.push_back(i);
     }
-  }
-
-  if (!options.local_search) return run;
-
-  // Bounded local search: admit each rejected job by evicting cheaper
-  // (lower-density) overlapping selections when the net value gain is
-  // positive. A second sweep reconsiders everything still unselected, since
-  // earlier swaps can open room.
-  for (int sweep = 0; sweep < options.local_search_sweeps; ++sweep) {
-    if (sweep > 0) {
-      rejected.clear();
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!run.selected[i] && cands[i].value > 0.0 &&
-            cands[i].size <= capacity) {
-          rejected.push_back(i);
-        }
-      }
-    }
-  for (std::size_t rj : rejected) {
-    const Candidate& c = cands[rj];
-    if (timeline.max_in(c.a, c.e) + c.size <= capacity + 1e-6) {
-      timeline.add(c.a, c.e, c.size);
-      run.selected[rj] = true;
-      run.total_value += c.value;
-      continue;
-    }
-    // Scan from the global density-order tail: cheapest selections first.
-    std::vector<std::size_t> evictable;
-    for (std::size_t k = cands.size(); k-- > 0;) {
-      if (!run.selected[k] || k == rj) continue;
-      const Candidate& o = cands[k];
-      if (o.density >= c.density) break;  // density-sorted: nothing cheaper
-      if (o.e <= c.a || o.a >= c.e) continue;
-      evictable.push_back(k);
-      if (static_cast<int>(evictable.size()) >=
-          options.max_evictions_per_swap) {
-        break;
-      }
-    }
-    double evicted_value = 0.0;
-    std::vector<std::size_t> evicted;
-    bool fits = false;
-    for (std::size_t k : evictable) {
-      const Candidate& o = cands[k];
-      timeline.add(o.a, o.e, -o.size);
-      run.selected[k] = false;
-      evicted_value += o.value;
-      evicted.push_back(k);
-      if (evicted_value >= c.value) break;  // swap can no longer pay off
-      if (timeline.max_in(c.a, c.e) + c.size <= capacity + 1e-6) {
-        fits = true;
-        break;
-      }
-    }
-    if (fits && c.value > evicted_value) {
-      timeline.add(c.a, c.e, c.size);
-      run.selected[rj] = true;
-      run.total_value += c.value - evicted_value;
-    } else {
-      for (std::size_t k : evicted) {
-        const Candidate& o = cands[k];
-        timeline.add(o.a, o.e, o.size);
-        run.selected[k] = true;
-      }
-    }
-  }
   }
   return run;
 }
@@ -126,52 +45,23 @@ Result solve_greedy(const std::vector<trace::Job>& jobs,
     return solve_exact(jobs, ssd_capacity_bytes, objective, model);
   }
   const double capacity = static_cast<double>(ssd_capacity_bytes);
-  std::vector<Candidate> cands;
-  std::vector<double> points;
-  cands.reserve(jobs.size());
-  points.reserve(jobs.size() * 2);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& j = jobs[i];
-    const double v = job_value(j, objective, model);
-    const double size = static_cast<double>(j.peak_bytes);
-    const double span = std::max(j.lifetime, 1.0);
-    cands.push_back(
-        {i, v, size, j.arrival_time, j.end_time(), v / (size * span)});
-    points.push_back(j.arrival_time);
-    points.push_back(j.end_time());
-  }
-  // Canonical order: decreasing density (local search relies on this).
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.density > b.density;
-            });
+  const CandidateSet set = build_candidates(jobs, objective, model);
 
   // Admission order 1: by density (classic fractional-knapsack heuristic).
-  std::vector<std::size_t> density_order(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) density_order[i] = i;
+  std::vector<std::size_t> density_order(set.cands.size());
+  for (std::size_t i = 0; i < set.cands.size(); ++i) density_order[i] = i;
   // Admission order 2: by absolute value. Wins when one big-value job is
   // worth more than the small dense jobs that would crowd it out.
   std::vector<std::size_t> value_order = density_order;
   std::sort(value_order.begin(), value_order.end(),
             [&](std::size_t a, std::size_t b) {
-              return cands[a].value > cands[b].value;
+              return set.cands[a].value > set.cands[b].value;
             });
 
-  GreedyRun best = run_pass(cands, density_order, points, capacity, options);
-  GreedyRun by_value =
-      run_pass(cands, value_order, points, capacity, options);
+  GreedyRun best = run_pass(set, density_order, capacity);
+  GreedyRun by_value = run_pass(set, value_order, capacity);
   if (by_value.total_value > best.total_value) best = std::move(by_value);
-
-  Result result;
-  result.on_ssd.assign(jobs.size(), false);
-  result.objective_value = best.total_value;
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (best.selected[i]) {
-      result.on_ssd[cands[i].index] = true;
-      ++result.num_selected;
-    }
-  }
-  return result;
+  return to_result(jobs.size(), set.cands, best.selected, best.total_value);
 }
 
 }  // namespace byom::oracle

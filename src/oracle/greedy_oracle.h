@@ -1,12 +1,14 @@
-// Scalable near-optimal oracle: value-density greedy over a capacity
-// timeline, followed by bounded local-search swaps.
+// Scalable oracle: value-density greedy over a capacity timeline.
 //
-// The greedy admits jobs in decreasing order of value per byte-second while
-// they fit; the swap pass then tries to admit each rejected job by evicting
-// cheaper overlapping jobs when that increases total value. On randomized
-// small instances the result is within a few percent of the certified
-// branch-and-bound optimum (see tests/oracle_test.cc), which preserves the
-// oracle's role as the paper's headroom bound and label-design tool.
+// Two greedy passes admit jobs while they fit: one in decreasing order of
+// value per byte-second, one in decreasing order of value. The better pass
+// wins. Instances of at most `exact_below` jobs are solved exactly instead.
+//
+// There is no constant-factor guarantee. On the 1,990 instances of
+// parameters 0-1999 of GreedyVsExact's recipe (tests/oracle_test.cc) with a
+// positive optimum, the pure heuristic reaches the certified
+// branch-and-bound optimum on 64.4% and 85% of it or more on 95.7%; its
+// median ratio is 1.0, its mean 0.975 and its worst 0.498.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +18,6 @@
 namespace byom::oracle {
 
 struct GreedyOptions {
-  // Enable the local-search swap pass (disable to measure its contribution).
-  bool local_search = true;
-  // Max number of evictions considered when trying to admit one rejected job.
-  int max_evictions_per_swap = 8;
-  // Number of local-search sweeps over the unselected candidates.
-  int local_search_sweeps = 2;
   // Instances with at most this many jobs are solved exactly via
   // branch-and-bound (certified optimum); 0 forces the pure heuristic.
   std::size_t exact_below = 22;

@@ -1,9 +1,9 @@
 #include "oracle/ilp.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
+#include "oracle/candidates.h"
 #include "oracle/timeline.h"
 
 namespace byom::oracle {
@@ -20,13 +20,6 @@ double job_value(const trace::Job& job, Objective objective,
 }
 
 namespace {
-
-struct Candidate {
-  std::size_t index;  // into the original job vector
-  double value;
-  double size;
-  double a, e;  // interval
-};
 
 struct BnbState {
   const std::vector<Candidate>* cands = nullptr;
@@ -76,26 +69,10 @@ Result solve_exact(const std::vector<trace::Job>& jobs,
     throw std::invalid_argument(
         "solve_exact is exponential; use the greedy oracle above 28 jobs");
   }
-  std::vector<Candidate> cands;
-  std::vector<double> points;
-  cands.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& j = jobs[i];
-    cands.push_back({i, job_value(j, objective, model),
-                     static_cast<double>(j.peak_bytes), j.arrival_time,
-                     j.end_time()});
-    points.push_back(j.arrival_time);
-    points.push_back(j.end_time());
-  }
-  // Order by value density; greatly improves pruning.
-  std::sort(cands.begin(), cands.end(), [](const Candidate& a,
-                                           const Candidate& b) {
-    const double da = a.value / std::max(a.size * (a.e - a.a), 1.0);
-    const double db = b.value / std::max(b.size * (b.e - b.a), 1.0);
-    return da > db;
-  });
-
-  CapacityTimeline timeline(points);
+  // Density order is only the visiting order; it greatly improves pruning.
+  const CandidateSet set = build_candidates(jobs, objective, model);
+  const std::vector<Candidate>& cands = set.cands;
+  CapacityTimeline timeline(set.points);
   BnbState s;
   s.cands = &cands;
   s.capacity = static_cast<double>(ssd_capacity_bytes);
@@ -108,17 +85,7 @@ Result solve_exact(const std::vector<trace::Job>& jobs,
         s.suffix_positive[i + 1] + std::max(0.0, cands[i].value);
   }
   bnb(s, 0);
-
-  Result result;
-  result.on_ssd.assign(jobs.size(), false);
-  result.objective_value = s.best_value;
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (s.best_chosen[i]) {
-      result.on_ssd[cands[i].index] = true;
-      ++result.num_selected;
-    }
-  }
-  return result;
+  return to_result(jobs.size(), cands, s.best_chosen, s.best_value);
 }
 
 }  // namespace byom::oracle

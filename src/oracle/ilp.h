@@ -8,8 +8,9 @@
 //   * solve_exact:  branch-and-bound with a positive-suffix bound; certified
 //                   optimal, exponential worst case — use for <= ~24 jobs
 //                   (unit tests verify the scalable solver against it).
-//   * greedy_oracle.h: density-greedy + local-search swaps; near-optimal and
-//                   O(N log N), used at cluster scale.
+//   * greedy_oracle.h: two greedy passes (density order, value order);
+//                   O(N log N), used at cluster scale, with no
+//                   constant-factor guarantee.
 #pragma once
 
 #include <cstdint>

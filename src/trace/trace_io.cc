@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 namespace byom::trace {
 
@@ -143,6 +144,9 @@ Trace from_csv(const common::CsvTable& table) {
   }
 
   std::uint32_t cluster_id = 0;
+  // Oracle replay, serving tables and feature matrices key jobs by id.
+  std::unordered_set<std::uint64_t> ids;
+  ids.reserve(table.rows.size());
   for (const auto& row : table.rows) {
     if (row.size() < table.header.size()) {
       throw std::runtime_error("trace CSV row has too few fields");
@@ -154,6 +158,10 @@ Trace from_csv(const common::CsvTable& table) {
     };
     Job j;
     j.job_id = parse_field<std::uint64_t>(next());
+    if (!ids.insert(j.job_id).second) {
+      throw std::runtime_error("trace CSV has duplicate job_id " +
+                               std::to_string(j.job_id));
+    }
     j.cluster_id = parse_field<std::uint32_t>(next());
     j.job_key = next().text;
     j.owner = next().text;

@@ -180,11 +180,12 @@ TEST(GreedyOracle, MatchesExactOnSimpleInstance) {
   EXPECT_NEAR(greedy.objective_value, exact.objective_value, 1e-12);
 }
 
-// Property: on randomized instances, the *pure heuristic* (exact dispatch
-// disabled) reaches >= 85% of the certified branch-and-bound optimum
-// (usually 100%). Temporal knapsack has no constant-factor greedy
-// guarantee; tiny adversarial instances are the worst case, and
-// cluster-scale instances average much closer to optimal. With the default
+// Regression tripwire: on these 20 fixed instances the *pure heuristic*
+// (exact dispatch disabled) reaches >= 85% of the certified
+// branch-and-bound optimum. This is not a guarantee: temporal knapsack has
+// no constant-factor greedy bound, and over parameters 0-1999 of this
+// recipe 85 of the 1,990 instances with a positive optimum fall below 0.85
+// (first at parameter 47, worst ratio 0.498; median 1.0). With the default
 // options, small instances are solved exactly (see DispatchesToExact).
 class GreedyVsExact : public ::testing::TestWithParam<int> {};
 
@@ -234,21 +235,51 @@ TEST(GreedyOracle, DispatchesToExactOnSmallInstances) {
   EXPECT_NEAR(greedy.objective_value, exact.objective_value, 1e-12);
 }
 
-TEST(GreedyOracle, LocalSearchNeverHurts) {
-  common::Rng rng(555);
-  std::vector<trace::Job> jobs;
-  for (int i = 0; i < 200; ++i) {
-    jobs.push_back(saver(rng.uniform(0, 20000), rng.uniform(60, 2000),
-                         static_cast<std::uint64_t>(
-                             rng.uniform(0.1, 2.0) *
-                             static_cast<double>(kGiB))));
+// A job whose TCO saving is exactly `value` (kTco objective).
+trace::Job valued(double arrival, double lifetime, std::uint64_t bytes,
+                  double value) {
+  auto j = saver(arrival, lifetime, bytes);
+  j.cost_hdd = value;
+  j.cost_ssd = 0.0;
+  return j;
+}
+
+// The value-order pass is needed: four small dense jobs crowd out one big
+// job worth more than all of them together.
+TEST(GreedyOracle, ValueOrderWinsOverCrowdingDenseJobs) {
+  std::vector<trace::Job> jobs{valued(0, 1000, 4 * kGiB, 10.0)};
+  for (int k = 0; k < 4; ++k) {
+    jobs.push_back(valued(250.0 * k, 100, kGiB, 1.0));  // density 4x the big
   }
   const cost::CostModel m;
-  GreedyOptions no_ls;
-  no_ls.local_search = false;
-  const auto base = solve_greedy(jobs, 4 * kGiB, Objective::kTco, m, no_ls);
-  const auto with_ls = solve_greedy(jobs, 4 * kGiB, Objective::kTco, m);
-  EXPECT_GE(with_ls.objective_value, base.objective_value - 1e-9);
+  GreedyOptions heuristic_only;
+  heuristic_only.exact_below = 0;
+  const auto r =
+      solve_greedy(jobs, 4 * kGiB, Objective::kTco, m, heuristic_only);
+  EXPECT_EQ(r.objective_value, 10.0);  // density order alone reaches 4
+  EXPECT_EQ(r.num_selected, 1u);
+  EXPECT_TRUE(r.on_ssd[0]);
+  EXPECT_EQ(solve_exact(jobs, 4 * kGiB, Objective::kTco, m).objective_value,
+            10.0);
+}
+
+// The density-order pass is needed: one big-value job crowds out four
+// back-to-back dense jobs worth more together.
+TEST(GreedyOracle, DensityOrderWinsOverOneBigValueJob) {
+  std::vector<trace::Job> jobs{valued(0, 1000, 4 * kGiB, 5.0)};
+  for (int k = 0; k < 4; ++k) {
+    jobs.push_back(valued(250.0 * k, 250, 4 * kGiB, 2.0));
+  }
+  const cost::CostModel m;
+  GreedyOptions heuristic_only;
+  heuristic_only.exact_below = 0;
+  const auto r =
+      solve_greedy(jobs, 4 * kGiB, Objective::kTco, m, heuristic_only);
+  EXPECT_EQ(r.objective_value, 8.0);  // value order alone reaches 5
+  EXPECT_EQ(r.num_selected, 4u);
+  EXPECT_FALSE(r.on_ssd[0]);
+  EXPECT_EQ(solve_exact(jobs, 4 * kGiB, Objective::kTco, m).objective_value,
+            8.0);
 }
 
 TEST(GreedyOracle, SelectionRespectsCapacityTimeline) {

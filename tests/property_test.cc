@@ -4,11 +4,13 @@
 
 #include <cmath>
 
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/category_provider.h"
 #include "core/labeler.h"
 #include "oracle/greedy_oracle.h"
+#include "oracle/ilp.h"
 #include "policy/adaptive.h"
 #include "policy/first_fit.h"
 #include "policy/oracle_replay.h"
@@ -108,6 +110,182 @@ TEST_P(OracleQuota, SelectionWithinCapacityAndValuePositive) {
 
 INSTANTIATE_TEST_SUITE_P(QuotaSweep, OracleQuota,
                          ::testing::Values(0.001, 0.01, 0.05, 0.25, 1.0));
+
+// ------------------------------------------------------- oracle contract
+
+// A job of GreedyVsExact's recipe (tests/oracle_test.cc): a saver reads
+// 8 bytes per byte stored in 8 KiB blocks, a loser 0.1 GiB in 1 MiB blocks.
+trace::Job recipe_job(std::uint64_t id, double arrival, double lifetime,
+                      std::uint64_t bytes, bool saver) {
+  trace::Job j;
+  j.job_id = id;
+  j.arrival_time = arrival;
+  j.lifetime = lifetime;
+  j.peak_bytes = bytes;
+  j.io.bytes_written = bytes;
+  j.io.bytes_read = saver ? 8 * bytes : kGiB / 10;
+  j.io.avg_read_block = saver ? 8.0 * 1024.0 : 1024.0 * 1024.0;
+  j.compute_costs(cost::CostModel{});
+  return j;
+}
+
+enum class Degenerate {
+  kZeroBytes,     // peak_bytes = 0, still reads
+  kZeroLifetime,  // arrival == end
+  kZeroValue,     // no I/O, no bytes, no saving: value 0 under both objectives
+  kEqualArrival,  // arrives with `prev`
+  kGiant,         // one byte-saver larger than the whole capacity
+  kCount,
+};
+
+trace::Job degenerate_job(Degenerate kind, std::uint64_t id,
+                          const trace::Job& prev, std::uint64_t capacity) {
+  switch (kind) {
+    case Degenerate::kZeroBytes: {
+      auto j = recipe_job(id, prev.arrival_time + 7.0, 600, 0, true);
+      j.io.bytes_read = kGiB;
+      j.compute_costs(cost::CostModel{});
+      return j;
+    }
+    case Degenerate::kZeroLifetime:
+      return recipe_job(id, prev.arrival_time + 3.0, 0.0, kGiB / 2, true);
+    case Degenerate::kZeroValue: {
+      auto j = recipe_job(id, prev.arrival_time, 900, 0, true);
+      j.io = {};
+      j.compute_costs(cost::CostModel{});
+      j.cost_ssd = j.cost_hdd;
+      return j;
+    }
+    case Degenerate::kEqualArrival:
+      return recipe_job(id, prev.arrival_time, 1200, kGiB, true);
+    case Degenerate::kGiant:
+      return recipe_job(id, prev.arrival_time + 1.0, 2000, capacity + kGiB,
+                        true);
+    case Degenerate::kCount:
+      break;
+  }
+  return prev;
+}
+
+// What every oracle selection must satisfy: it fits under capacity (checked
+// by an independent interval sweep, not the solvers' CapacityTimeline),
+// `objective_value` is the value of the selected jobs, and no job of value
+// <= 0 is selected.
+void expect_valid_selection(const std::vector<trace::Job>& jobs,
+                            std::uint64_t capacity,
+                            oracle::Objective objective,
+                            const oracle::Result& r) {
+  const cost::CostModel model;
+  ASSERT_EQ(r.on_ssd.size(), jobs.size());
+  common::IntervalSeries occupancy;
+  double value = 0.0;
+  std::size_t selected = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!r.on_ssd[i]) continue;
+    const auto& j = jobs[i];
+    const double v = oracle::job_value(j, objective, model);
+    EXPECT_GT(v, 0.0) << "job " << j.job_id;
+    EXPECT_LE(j.peak_bytes, capacity) << "job " << j.job_id;
+    occupancy.add(j.arrival_time, j.end_time(),
+                  static_cast<double>(j.peak_bytes));
+    value += v;
+    ++selected;
+  }
+  EXPECT_EQ(r.num_selected, selected);
+  EXPECT_NEAR(r.objective_value, value, 1e-12 * std::max(1.0, value));
+  EXPECT_LE(occupancy.peak(), static_cast<double>(capacity) * (1.0 + 1e-9));
+}
+
+// Exact, default greedy and pure heuristic under both objectives: every
+// selection is valid, the heuristic never beats the optimum, and the
+// default greedy is the optimum on instances it dispatches to the exact
+// solver.
+void expect_oracle_contract(const std::vector<trace::Job>& jobs,
+                            std::uint64_t capacity) {
+  const cost::CostModel model;
+  oracle::GreedyOptions heuristic_only;
+  heuristic_only.exact_below = 0;
+  for (const auto objective :
+       {oracle::Objective::kTco, oracle::Objective::kTcio}) {
+    SCOPED_TRACE(objective == oracle::Objective::kTco ? "kTco" : "kTcio");
+    const auto exact = oracle::solve_exact(jobs, capacity, objective, model);
+    const auto greedy = oracle::solve_greedy(jobs, capacity, objective, model);
+    const auto heuristic = oracle::solve_greedy(jobs, capacity, objective,
+                                                model, heuristic_only);
+    expect_valid_selection(jobs, capacity, objective, exact);
+    expect_valid_selection(jobs, capacity, objective, greedy);
+    expect_valid_selection(jobs, capacity, objective, heuristic);
+    EXPECT_LE(heuristic.objective_value,
+              exact.objective_value +
+                  1e-9 * std::max(1.0, exact.objective_value));
+    if (jobs.size() <= oracle::GreedyOptions{}.exact_below) {
+      EXPECT_EQ(greedy.objective_value, exact.objective_value);
+    }
+  }
+}
+
+// One of each degenerate job among ordinary savers and losers: zero-byte
+// (including 0/0 density), zero-lifetime, zero-value, equal-arrival and
+// larger-than-capacity jobs go through both solvers.
+TEST(OracleContract, DegenerateJobsThroughBothSolvers) {
+  const std::uint64_t capacity = 3 * kGiB;
+  std::vector<trace::Job> jobs{
+      recipe_job(1, 0, 600, kGiB, true),
+      recipe_job(2, 100, 600, 2 * kGiB, true),
+      recipe_job(3, 0, 600, kGiB, false),
+      recipe_job(4, 300, 900, kGiB, true),
+  };
+  for (int k = 0; k < static_cast<int>(Degenerate::kCount); ++k) {
+    jobs.push_back(degenerate_job(static_cast<Degenerate>(k), jobs.size() + 1,
+                                  jobs.back(), capacity));
+  }
+  // Zero bytes and zero lifetime together.
+  jobs.push_back(recipe_job(jobs.size() + 1, 50, 0, 0, true));
+  expect_oracle_contract(jobs, capacity);
+
+  const cost::CostModel model;
+  const auto r =
+      oracle::solve_greedy(jobs, capacity, oracle::Objective::kTco, model);
+  const auto& zero_bytes = jobs[4];
+  const auto& zero_lifetime = jobs[5];
+  const auto& giant = jobs[8];
+  ASSERT_GT(zero_bytes.tco_saving(), 0.0);
+  ASSERT_GT(zero_lifetime.tco_saving(), 0.0);
+  ASSERT_GT(giant.tco_saving(), 0.0);
+  // Zero bytes, or zero time, always fit; more than capacity never does.
+  EXPECT_TRUE(r.on_ssd[4]);
+  EXPECT_TRUE(r.on_ssd[5]);
+  EXPECT_FALSE(r.on_ssd[8]);
+}
+
+// Seeded randomized contract: a few hundred GreedyVsExact-style instances
+// of 8-22 jobs, each with some degenerate jobs mixed in.
+TEST(OracleContract, RandomizedInstancesHonourTheContract) {
+  for (int instance = 0; instance < 300; ++instance) {
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    common::Rng rng(5000 + static_cast<std::uint64_t>(instance));
+    const auto capacity = static_cast<std::uint64_t>(
+        rng.uniform(1.0, 6.0) * static_cast<double>(kGiB));
+    const int n = 8 + instance % 15;
+    std::vector<trace::Job> jobs;
+    for (int i = 0; i < n; ++i) {
+      const auto id = static_cast<std::uint64_t>(i + 1);
+      if (i > 0 && rng.bernoulli(0.2)) {
+        const auto kind = static_cast<Degenerate>(rng.uniform_index(
+            static_cast<std::uint64_t>(Degenerate::kCount)));
+        jobs.push_back(degenerate_job(kind, id, jobs.back(), capacity));
+        continue;
+      }
+      const double arrival = rng.uniform(0, 5000);
+      const double lifetime = rng.uniform(100, 3000);
+      const auto bytes = static_cast<std::uint64_t>(
+          rng.uniform(0.2, 4.0) * static_cast<double>(kGiB));
+      jobs.push_back(
+          recipe_job(id, arrival, lifetime, bytes, rng.bernoulli(0.7)));
+    }
+    expect_oracle_contract(jobs, capacity);
+  }
+}
 
 // ------------------------------------------------------- labeler properties
 

@@ -338,6 +338,25 @@ TEST(TraceIo, MalformedNumberThrows) {
   EXPECT_THROW(from_csv(table), std::runtime_error);
 }
 
+// Oracle replay maps job_id -> decision, so a repeated id would silently
+// overwrite the first job's decision; loading names the id instead.
+TEST(TraceIo, DuplicateJobIdThrows) {
+  const Trace t = small_trace();
+  ASSERT_GE(t.size(), 2u);
+  auto table = to_csv(t);
+  const std::size_t id = table.column("job_id");
+  table.rows[1][id] = table.rows[0][id];
+  try {
+    from_csv(table);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate job_id " +
+                                         table.rows[0][id]),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Each malformed field throws std::runtime_error naming its column instead
 // of loading a wrapped, truncated or partially parsed value.
 TEST(TraceIo, MalformedFieldTableThrows) {

@@ -469,9 +469,24 @@ void BM_InferenceCompiledPerJob(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceCompiledPerJob);
 
+// inference_jobs() replicates the test trace, so its job ids repeat; a
+// served hint is keyed by id and taken once, so the serving benches give
+// every request a unique one (the job_key routing input keeps its natural
+// duplication).
+const std::vector<trace::Job>& served_jobs() {
+  static const std::vector<trace::Job> jobs = [] {
+    std::vector<trace::Job> out = inference_jobs();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].job_id = 1000000 + i;
+    }
+    return out;
+  }();
+  return jobs;
+}
+
 // ---- serving loop: served-hint round trip vs batcher max_batch ----------
 //
-// Full enqueue -> queue -> batcher -> predict_batch -> publish -> lookup
+// Full enqueue -> queue -> batcher -> predict_batch -> publish -> take
 // cycle per job, in deterministic mode (no thread jitter): max_batch=1 is
 // the online single-request shape, and its rate over the bare single-row
 // kernel (BM_InferenceCompiledPerJob) is the tracked
@@ -483,7 +498,7 @@ void BM_ServedHintLatency(benchmark::State& state) {
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(
       fixture().cluster.factory->shared_category_model());
-  const auto& jobs = inference_jobs();
+  const auto& jobs = served_jobs();
   serving::PlacementServiceConfig config;
   config.num_threads = 0;  // deterministic: lookups drain the queue
   config.queue_capacity = jobs.size();
@@ -520,25 +535,11 @@ BENCHMARK(BM_ServedHintLatency)
 // request_deadline (hits / (hits + misses)). On a single-core host the
 // lanes time-slice and the rate is flat; the >= 2x at 4 shards acceptance
 // check applies to the multi-core CI runner.
-const std::vector<trace::Job>& throughput_jobs() {
-  // inference_jobs() replicates the test trace, so its job ids repeat;
-  // results tables are keyed by id, so give every request a unique one (the
-  // job_key routing input keeps its natural duplication).
-  static const std::vector<trace::Job> jobs = [] {
-    std::vector<trace::Job> out = inference_jobs();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].job_id = 1000000 + i;
-    }
-    return out;
-  }();
-  return jobs;
-}
-
 void BM_ServingThroughput(benchmark::State& state) {
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(
       fixture().cluster.factory->shared_category_model());
-  const auto& jobs = throughput_jobs();
+  const auto& jobs = served_jobs();
   serving::PlacementServiceConfig config;
   config.num_shards = static_cast<std::size_t>(state.range(0));
   config.queue_stripes = 4;

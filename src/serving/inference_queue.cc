@@ -79,25 +79,6 @@ bool InferenceRequestQueue::try_push(InferenceRequest request) {
   return true;
 }
 
-bool InferenceRequestQueue::push(InferenceRequest request) {
-  Stripe& stripe = *stripes_[stripe_of(request.job.job_id)];
-  {
-    common::MutexLock lock(stripe.mutex);
-    // atomic: acquire — pairs with shutdown()'s release store
-    while (!shutdown_.load(std::memory_order_acquire) &&
-           stripe.items.size() >= stripe_capacity_) {
-      stripe.not_full.wait(lock);
-    }
-    // atomic: acquire — pairs with shutdown()'s release store
-    if (shutdown_.load(std::memory_order_acquire)) return false;
-    append(stripe, std::move(request));
-    // atomic: release — pairs with the acquire loads in wake_ready()/size()
-    size_.fetch_add(1, std::memory_order_release);
-  }
-  notify_not_empty();
-  return true;
-}
-
 std::size_t InferenceRequestQueue::sweep(std::vector<InferenceRequest>& out,
                                          std::size_t max_batch) {
   const std::size_t n = stripes_.size();
@@ -108,31 +89,19 @@ std::size_t InferenceRequestQueue::sweep(std::vector<InferenceRequest>& out,
   std::size_t popped = 0;
   for (std::size_t k = 0; k < n && popped < max_batch; ++k) {
     Stripe& stripe = *stripes_[(start + k) % n];
-    std::size_t from_stripe = 0;
-    {
-      common::MutexLock lock(stripe.mutex);
-      while (popped < max_batch && !stripe.items.empty()) {
-        out.push_back(std::move(stripe.items.front()));
-        // The emptied node waits on `spare` for the next push.
-        stripe.spare.splice(stripe.spare.begin(), stripe.items,
-                            stripe.items.begin());
-        // atomic: release — keeps size_ publication symmetric with the
-        // producers; pairs with the acquire loads in wake_ready()/size()
-        size_.fetch_sub(1, std::memory_order_release);
-        ++popped;
-        ++from_stripe;
-      }
+    common::MutexLock lock(stripe.mutex);
+    while (popped < max_batch && !stripe.items.empty()) {
+      out.push_back(std::move(stripe.items.front()));
+      // The emptied node waits on `spare` for the next push.
+      stripe.spare.splice(stripe.spare.begin(), stripe.items,
+                          stripe.items.begin());
+      // atomic: release — keeps size_ publication symmetric with the
+      // producers; pairs with the acquire loads in wake_ready()/size()
+      size_.fetch_sub(1, std::memory_order_release);
+      ++popped;
     }
-    if (from_stripe > 0) stripe.not_full.notify_all();
   }
   return popped;
-}
-
-std::optional<InferenceRequest> InferenceRequestQueue::pop(
-    std::chrono::milliseconds wait) {
-  std::vector<InferenceRequest> out;
-  if (pop_batch(out, 1, wait) == 0) return std::nullopt;
-  return std::move(out.front());
 }
 
 // The idle consumer's wake predicate: something to pop, or nothing ever
@@ -207,16 +176,9 @@ std::size_t InferenceRequestQueue::pop_batch(
 }
 
 void InferenceRequestQueue::shutdown() {
-  // atomic: release — pairs with the acquire loads in try_push/push/
+  // atomic: release — pairs with the acquire loads in try_push/
   // wake_ready/shut_down; orders all pre-shutdown writes before the flag
   shutdown_.store(true, std::memory_order_release);
-  for (auto& stripe : stripes_) {
-    // Empty critical section: a producer between its shutdown check and
-    // wait() holds the stripe mutex, so once we acquire it the producer is
-    // inside wait() and the notify below reaches it.
-    { common::MutexLock lock(stripe->mutex); }
-    stripe->not_full.notify_all();
-  }
   { common::MutexLock gate(gate_mutex_); }
   not_empty_.notify_all();
 }
@@ -228,7 +190,7 @@ bool InferenceRequestQueue::shut_down() const {
 
 std::size_t InferenceRequestQueue::size() const {
   // atomic: acquire — pairs with the release size_ updates in
-  // try_push/push/sweep
+  // try_push/sweep
   return size_.load(std::memory_order_acquire);
 }
 

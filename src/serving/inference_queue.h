@@ -3,11 +3,12 @@
 // that keeps model inference off the storage layer's critical path, as the
 // paper's production design requires.
 //
-// Any number of producers (job submission paths) push requests; any number
-// of consumers (Batcher workers) pop them, individually or in batches. The
-// queue is bounded so a stalled model back-pressures producers instead of
-// growing without limit; try_push() lets callers degrade to the fallback
-// provider rather than block.
+// One way in and one way out: any number of producers (job submission
+// paths) try_push() requests and degrade to the fallback provider when a
+// stripe is full — the queue is bounded, so a stalled model back-pressures
+// producers instead of growing without limit, and no producer ever blocks;
+// any number of consumers (Batcher workers, Batcher::drain) pop_batch()
+// them.
 //
 // Striping (the million-RPS serving path): the queue is built from
 // `num_stripes` independent FIFO buffers, each behind its own mutex, with
@@ -33,7 +34,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -65,14 +65,6 @@ class InferenceRequestQueue {
   // is shut down.
   bool try_push(InferenceRequest request);
 
-  // Blocking push; waits while the request's stripe is full. False once
-  // shut down.
-  bool push(InferenceRequest request);
-
-  // Pops one request, waiting up to `wait` for one to arrive. Empty optional
-  // on timeout or when the queue is shut down and drained.
-  std::optional<InferenceRequest> pop(std::chrono::milliseconds wait);
-
   // Appends up to `max_batch` requests to `out`, waiting up to `wait` for
   // the first one. Returns the number appended (0 on timeout/shutdown).
   // `wait <= 0` is a pure non-blocking sweep: it never takes the idle gate
@@ -87,7 +79,8 @@ class InferenceRequestQueue {
   std::size_t pop_batch(std::vector<InferenceRequest>& out,
                         std::size_t max_batch);
 
-  // Wakes all waiters; subsequent pushes fail, pops drain what remains.
+  // Wakes all idle consumers; subsequent pushes fail, pops drain what
+  // remains.
   void shutdown();
   bool shut_down() const;
 
@@ -108,8 +101,6 @@ class InferenceRequestQueue {
  private:
   struct Stripe {
     mutable common::Mutex mutex;
-    // Per-stripe so a blocking producer waits on its own stripe's slot.
-    common::CondVar not_full;
     // FIFO of queued requests. A popped request's node is spliced onto
     // `spare` instead of being freed, and the next push reuses it, so a
     // stripe stops allocating once it has held its largest backlog.

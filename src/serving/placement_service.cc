@@ -108,146 +108,112 @@ std::size_t PlacementService::enqueue_all(
   return accepted;
 }
 
-std::optional<int> PlacementService::Shard::published(
-    std::uint64_t job_id) const {
-  common::MutexLock lock(results_mutex);
-  const auto it = results.find(job_id);
-  if (it == results.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<int> PlacementService::Shard::drain_and_find(
-    std::uint64_t job_id) {
-  if (auto hint = published(job_id)) return hint;
-  // Compute everything queued on this shard, on this thread: every enqueued
-  // request meets its deadline, with no timing dependence. In virtual-time
-  // mode results land in the published table (ready now) or the in-flight
-  // table (ready in the future).
-  batcher.drain();
-  return published(job_id);
-}
-
-std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
-  for (const auto& shard : shards_) {
-    if (auto hint = shard->published(job_id)) return hint;
-  }
-  return std::nullopt;
-}
-
 std::optional<int> PlacementService::wait_for(const trace::Job& job) {
   Shard& shard = shard_for(job);
-  if (virtual_time()) return wait_for_virtual(shard, job.job_id);
-  if (!deterministic()) return wait_for_threaded(shard, job.job_id);
-  const auto hint = shard.drain_and_find(job.job_id);
-  // atomic: relaxed — stats counter; only summed by stats()
+  const auto hint = deterministic() ? take_drained(shard, job.job_id)
+                                    : take_threaded(shard, job.job_id);
+  // atomic: relaxed — stats counters; publish no data, only summed by
+  // stats()
   (hint ? shard.hits : shard.misses).fetch_add(1, std::memory_order_relaxed);
+  if (hint && virtual_time()) {
+    // atomic: relaxed — stats counter; only summed by stats()
+    shard.on_time.fetch_add(1, std::memory_order_relaxed);
+  }
   return hint;
 }
 
-std::optional<int> PlacementService::wait_for_virtual(Shard& shard,
-                                                      std::uint64_t job_id) {
-  const double now = config_.clock->now();
-  if (const auto hint = shard.drain_and_find(job_id)) {
-    // Ready at or before the lookup: consumed on time.
-    // atomic: relaxed — stats counters; publish no data, only summed by
-    // stats()
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    shard.on_time.fetch_add(1, std::memory_order_relaxed);
-    return hint;
-  }
+std::optional<int> PlacementService::take_drained(Shard& shard,
+                                                  std::uint64_t job_id) {
+  bool published = false;
   {
-    common::MutexLock lock(shard.results_mutex);
-    const auto it = shard.in_flight.find(job_id);
-    if (it != shard.in_flight.end()) {
-      if (it->second.ready_time <= now + config_.virtual_request_deadline) {
-        // The consumer's wait budget covers the remaining latency: consume
-        // the hint "mid-wait". The scheduled hint-ready event finds it
-        // already published and does nothing.
-        const InFlightHint ready = it->second;
-        shard.in_flight.erase(it);
-        shard.results.emplace(job_id, ready.category);
-        ++shard.completed;
-        shard.virtual_latency_total_s += ready.virtual_latency;
-        shard.virtual_latency_max_s =
-            std::max(shard.virtual_latency_max_s, ready.virtual_latency);
-        // atomic: relaxed — stats counters; publish no data, only
-        // summed by stats()
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
-        shard.on_time.fetch_add(1, std::memory_order_relaxed);
-        return ready.category;
-      }
-      // The hint cannot make the deadline: Algorithm 1 falls back now; the
-      // hint-ready event will deliver (and count) it late.
-      it->second.missed = true;
-    }
+    common::MutexLock lock(shard.hints_mutex);
+    const auto it = shard.hints.find(job_id);
+    published = it != shard.hints.end() && !it->second.scheduled;
   }
-  // atomic: relaxed — stats counter; publishes no data, only summed
-  // by stats()
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  // Unless the hint is already published, compute everything queued on
+  // this shard, on this thread: every enqueued request meets its deadline,
+  // with no timing dependence.
+  if (!published) shard.batcher.drain();
+  const double deadline =
+      virtual_time() ? config_.clock->now() + config_.virtual_request_deadline
+                     : 0.0;
+  common::MutexLock lock(shard.hints_mutex);
+  const auto it = shard.hints.find(job_id);
+  if (it == shard.hints.end()) return std::nullopt;
+  HeldHint& hint = it->second;
+  if (hint.scheduled) {
+    if (hint.ready_time > deadline) {
+      // The hint cannot make the deadline: Algorithm 1 falls back now; the
+      // hint-ready event counts it late and frees it.
+      hint.missed = true;
+      return std::nullopt;
+    }
+    // The consumer's wait budget covers the remaining latency: publish and
+    // take the hint "mid-wait". Its hint-ready event finds nothing.
+    shard.count_published(hint.virtual_latency);
+  }
+  const int category = hint.category;
+  shard.hints.erase(it);
+  return category;
 }
 
-std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
-                                                       std::uint64_t job_id) {
+std::optional<int> PlacementService::take_threaded(Shard& shard,
+                                                   std::uint64_t job_id) {
   // lint:allow(wall-clock) threaded-mode consumer deadline; virtual-time
-  // lookups go through wait_for_virtual instead
+  // lookups go through take_drained instead
   const auto deadline =
       std::chrono::steady_clock::now() + config_.request_deadline;
-  common::MutexLock lock(shard.results_mutex);
+  common::MutexLock lock(shard.hints_mutex);
   // Explicit predicate loop (not the lambda-predicate wait overload): the
   // thread-safety analysis checks each guarded access in this scope, where
   // it can see the MutexLock.
-  auto it = shard.results.find(job_id);
-  while (it == shard.results.end()) {
-    if (shard.results_cv.wait_until(lock, deadline) ==
+  auto it = shard.hints.find(job_id);
+  while (it == shard.hints.end()) {
+    if (shard.hints_cv.wait_until(lock, deadline) ==
         std::cv_status::timeout) {
-      it = shard.results.find(job_id);  // a publish may race the timeout
+      it = shard.hints.find(job_id);  // a publish may race the timeout
       break;
     }
-    it = shard.results.find(job_id);
+    it = shard.hints.find(job_id);
   }
-  if (it != shard.results.end()) {
-    const int category = it->second;
-    // atomic: relaxed — stats counter; only summed by stats()
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return category;
-  }
-  // atomic: relaxed — stats counter; only summed by stats()
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  if (it == shard.hints.end()) return std::nullopt;
+  const int category = it->second.category;
+  shard.hints.erase(it);
+  return category;
 }
 
-void PlacementService::publish_virtual(Shard& shard, std::uint64_t job_id,
-                                       int category, double virtual_latency) {
-  common::MutexLock lock(shard.results_mutex);
-  if (!shard.results.emplace(job_id, category).second) return;
-  ++shard.completed;
-  shard.virtual_latency_total_s += virtual_latency;
-  shard.virtual_latency_max_s =
-      std::max(shard.virtual_latency_max_s, virtual_latency);
+void PlacementService::Shard::count_published(double virtual_latency) {
+  ++completed;
+  virtual_latency_total_s += virtual_latency;
+  virtual_latency_max_s = std::max(virtual_latency_max_s, virtual_latency);
 }
 
 void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
-                                           double) {
-  static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
+                                           double time) {
+  static_cast<PlacementService*>(ctx)->deliver_virtual(job_id, time);
 }
 
-void PlacementService::deliver_virtual(std::uint64_t job_id) {
-  // Hint-ready event: move the in-flight hint into the published table. If
-  // the consumer already took it mid-wait (or it was never computed) there
-  // is nothing to do.
+void PlacementService::deliver_virtual(std::uint64_t job_id, double time) {
+  // Hint-ready event: publish the held hint. If its consumer already took
+  // it mid-wait there is nothing to do — and an entry that is published,
+  // or that a later request scheduled for another time, is not this
+  // event's.
   Shard& shard = *shards_.front();
-  InFlightHint hint;
-  {
-    common::MutexLock lock(shard.results_mutex);
-    const auto it = shard.in_flight.find(job_id);
-    if (it == shard.in_flight.end()) return;
-    hint = it->second;
-    shard.in_flight.erase(it);
+  common::MutexLock lock(shard.hints_mutex);
+  const auto it = shard.hints.find(job_id);
+  if (it == shard.hints.end() || !it->second.scheduled ||
+      it->second.ready_time != time) {
+    return;
   }
-  publish_virtual(shard, job_id, hint.category, hint.virtual_latency);
-  // atomic: relaxed — late-hint stats counter; only summed by stats()
-  if (hint.missed) shard.late.fetch_add(1, std::memory_order_relaxed);
+  HeldHint& hint = it->second;
+  hint.scheduled = false;
+  shard.count_published(hint.virtual_latency);
+  if (hint.missed) {
+    // Its consumer already fell back: nobody will take it.
+    shard.hints.erase(it);
+    // atomic: relaxed — late-hint stats counter; only summed by stats()
+    shard.late.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void PlacementService::execute_batch(
@@ -273,6 +239,7 @@ void PlacementService::execute_batch(
 
   if (virtual_time()) {
     const double now = config_.clock->now();
+    common::MutexLock lock(shard.hints_mutex);
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const InferenceRequest& request = batch[b];
       const std::uint64_t job_id = request.job.job_id;
@@ -281,18 +248,16 @@ void PlacementService::execute_batch(
               ? config_.latency_model->latency_seconds(request.job)
               : 0.0;
       const double ready = request.virtual_enqueued_at + latency;
-      if (ready <= now) {
-        publish_virtual(shard, job_id, categories[b], latency);
-        continue;
+      const bool scheduled = ready > now;
+      if (!shard.hints
+               .emplace(job_id, HeldHint{categories[b], scheduled,
+                                         /*missed=*/false, ready, latency})
+               .second) {
+        continue;  // duplicate request for a held hint
       }
-      {
-        common::MutexLock lock(shard.results_mutex);
-        if (shard.results.count(job_id) || shard.in_flight.count(job_id)) {
-          continue;  // duplicate request for an already-served job
-        }
-        shard.in_flight.emplace(job_id,
-                                InFlightHint{categories[b], ready, latency,
-                                             /*missed=*/false});
+      if (!scheduled) {
+        shard.count_published(latency);
+        continue;
       }
       config_.clock->schedule_typed(ready, sim::SimClock::kHintReadyPriority,
                                     sim::SimClock::EventKind::kHintReady,
@@ -306,12 +271,13 @@ void PlacementService::execute_batch(
   // path above uses the injected clock
   const auto now = std::chrono::steady_clock::now();
   {
-    common::MutexLock lock(shard.results_mutex);
+    common::MutexLock lock(shard.hints_mutex);
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const InferenceRequest& request = batch[b];
-      // First publication wins; a duplicate request for an already-served
-      // job completes without recounting stats.
-      if (!shard.results.emplace(request.job.job_id, categories[b]).second) {
+      // A duplicate request for a held hint completes without recounting
+      // stats.
+      if (!shard.hints.emplace(request.job.job_id, HeldHint{categories[b]})
+               .second) {
         continue;
       }
       ++shard.completed;
@@ -323,7 +289,7 @@ void PlacementService::execute_batch(
           std::max(shard.wall_latency_max_ms, latency_ms);
     }
   }
-  shard.results_cv.notify_all();
+  shard.hints_cv.notify_all();
 }
 
 void PlacementService::shutdown() {
@@ -348,13 +314,13 @@ void PlacementService::shutdown() {
 ServingStats PlacementService::shard_stats(std::size_t shard_index) const {
   const Shard& shard = *shards_.at(shard_index);
   ServingStats stats;
-  // Read the results-table counters before `enqueued`: a request completes
+  // Read the hint-table counters before `enqueued`: a request completes
   // only after its push, so a snapshot taken under load can then show
   // completed > enqueued only for a request whose producer has pushed it
   // but not yet counted it. Reading `enqueued` first let a descheduled
   // reader see dozens more completions than enqueues.
   {
-    common::MutexLock lock(shard.results_mutex);
+    common::MutexLock lock(shard.hints_mutex);
     stats.completed = shard.completed;
     stats.wall_latency_total_ms = shard.wall_latency_total_ms;
     stats.wall_latency_max_ms = shard.wall_latency_max_ms;
@@ -414,6 +380,15 @@ sim::HintTimeliness PlacementService::hint_timeliness() const {
 std::size_t PlacementService::pending_requests() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->queue.size();
+  return total;
+}
+
+std::size_t PlacementService::held_hints() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    common::MutexLock lock(shard->hints_mutex);
+    total += shard->hints.size();
+  }
   return total;
 }
 

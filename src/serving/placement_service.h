@@ -12,11 +12,11 @@
 //                        |-> shard 0: striped queue -> Batcher -> predict
 //                        |-> shard 1: striped queue -> Batcher -> predict
 //                        `-> ...               (one worker set per shard)
-//   provider()->category(job) <---- per-shard published hint table <---+
+//   provider()->category(job) <---- per-shard hint table (take once) <---+
 //
 // Sharding (the million-RPS serving path): the service stands up
 // `num_shards` fully independent serving lanes — each with its own
-// lock-striped InferenceRequestQueue, Batcher, worker threads, results
+// lock-striped InferenceRequestQueue, Batcher, worker threads, hint
 // table, and counters — and routes every request to the shard selected by
 // fnv1a(job.job_key) % num_shards. The same recurring (pipeline, step) pair
 // always lands on the same shard (deterministic routing, warm per-shard
@@ -35,8 +35,8 @@
 //     timing: a lookup that finds no published hint drains the job's shard
 //     synchronously, so every enqueued request "meets its deadline" and
 //     results are bit-reproducible — the mode simulation cells and tests
-//     use. A lookup for a job that was never enqueued (or was dropped)
-//     misses.
+//     use. A lookup for a job that was never enqueued (or was dropped, or
+//     whose hint was already taken) misses.
 //   * num_threads == 0 with a sim::SimClock (virtual-time mode): the same
 //     drain-on-lookup batching, but timestamps come from the injected clock
 //     (the wall clock is never read) and every request is charged
@@ -44,12 +44,24 @@
 //     the placement decisions replayed by the event-driven simulator. A
 //     consumer waits up to `virtual_request_deadline` virtual seconds for
 //     its hint; a hint that cannot make that deadline is a miss (the
-//     consumer degrades to its fallback, per Algorithm 1) and is delivered
-//     later by a hint-ready event on the clock, counted `late`. Hint-ready
-//     events are the only events the service schedules. With the
+//     consumer degrades to its fallback, per Algorithm 1), and its
+//     hint-ready event on the clock later counts it `late` and frees it.
+//     Hint-ready events are the only events the service schedules. With the
 //     zero-latency model every hint is on time and results are bit-identical
 //     to plain deterministic mode. Virtual-time mode requires num_shards ==
 //     1: simulation cells stay on the single-lane, bit-reproducible path.
+//
+// Hint table (take once): a hint is one per-job value that Algorithm 1
+// reads once, at that job's placement decision. Each shard holds it in one
+// table, job id -> {category, scheduled, missed, ready time, virtual
+// latency}, from batch execution until its one consumer takes it: a
+// wait_for hit erases the entry in every mode, and a late hint (its
+// consumer already fell back) is erased by its hint-ready event. The table
+// therefore holds only hints computed but not yet consumed — O(window) in
+// a streamed replay, not O(trace); held_hints() reads its size. A
+// duplicate request for a job whose hint is still held is ignored; once
+// the hint has been taken, a new request for that job is a new request
+// (computed, counted and held again).
 //
 // Category values are produced by the same registry-grouped
 // ModelBackend::predict_batch pass as the offline path
@@ -58,8 +70,9 @@
 // bit-identical to offline-batched hints whenever every request completes
 // in time, at any shard count. A deterministic-mode drain runs that pass
 // in per-shard buffers reused across drains, so a steady-state
-// single-request round trip allocates only what it keeps: the request's
-// copy of its job and the published hint's table entry.
+// single-request round trip, at zero or positive hint latency, allocates
+// the request's copy of its job and one hint-table node, which the take
+// frees again.
 //
 // Backend resolution is epoch-published (core/model_registry.h): each batch
 // loads an immutable snapshot through an atomic slot, so registry hot-swaps
@@ -90,7 +103,7 @@
 namespace byom::serving {
 
 struct PlacementServiceConfig {
-  // Independent serving lanes (queue + batcher + workers + results each),
+  // Independent serving lanes (queue + batcher + workers + hints each),
   // routed by fnv1a(job_key). 0 = one shard per hardware core. Virtual-time
   // mode requires the resolved count to be 1.
   std::size_t num_shards = 1;
@@ -138,15 +151,21 @@ struct PlacementServiceConfig {
 struct ServingStats {
   std::uint64_t enqueued = 0;   // requests accepted into the queues
   std::uint64_t dropped = 0;    // requests rejected (queue full / shut down)
-  std::uint64_t completed = 0;  // hints published
-  std::uint64_t hits = 0;       // provider lookups answered with a hint
+  // Hints published: computed and visible to their consumer (in
+  // virtual-time mode, once ready — at execution, at a mid-wait take, or at
+  // the hint-ready event). A duplicate of a held request is not counted.
+  std::uint64_t completed = 0;
+  std::uint64_t hits = 0;       // provider lookups that took a hint
   std::uint64_t misses = 0;     // provider lookups that declined (deadline
-                                // missed or never requested) -> fallback
+                                // missed, never requested or already
+                                // taken) -> fallback
   // Virtual-time mode hint timeliness: a hint is `on_time` when its
-  // consumer got it within the virtual deadline, `late` when it was
-  // delivered by a clock event after its consumer had already fallen back.
-  // When every request is consumed exactly once (the simulator's regime),
-  // on_time + late + dropped accounts for every submitted request.
+  // consumer took it within the virtual deadline, `late` when its
+  // hint-ready event fired after its consumer had already fallen back (the
+  // event frees it). When every request is consumed exactly once (the
+  // simulator's regime), on_time + late + dropped accounts for every
+  // submitted request, and once the clock has run every event, completed
+  // == on_time + late and no hint is held.
   std::uint64_t on_time = 0;
   std::uint64_t late = 0;
   std::uint64_t batches = 0;
@@ -204,14 +223,11 @@ class PlacementService : public sim::HintService {
   // Returns the number of requests accepted.
   std::size_t enqueue_all(const std::vector<trace::Job>& jobs);
 
-  // Non-blocking result lookup (no hit/miss accounting). Scans shards; a
-  // job id is published by at most one.
-  std::optional<int> lookup(std::uint64_t job_id) const;
-
-  // Consumer-side lookup with the service's fallback semantics, routed
+  // Consumer-side take with the service's fallback semantics, routed
   // straight to the job's shard: waits up to `request_deadline` in threaded
   // mode, drains the shard synchronously in deterministic mode. Counts a
-  // hit or a miss. This is the serving hot path — O(1) in the shard count.
+  // hit or a miss; a hit erases the hint (take once). This is the serving
+  // hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
 
   // Stops accepting requests, wakes every idle worker on every shard, and
@@ -225,7 +241,7 @@ class PlacementService : public sim::HintService {
   void shutdown();
 
   // Aggregated across shards (relaxed atomic counter reads + per-shard
-  // result-lock reads); safe to call concurrently with serving.
+  // hint-lock reads); safe to call concurrently with serving.
   ServingStats stats() const;
   // One shard's counters — tests use this to assert routing and balance.
   ServingStats shard_stats(std::size_t shard_index) const;
@@ -240,17 +256,23 @@ class PlacementService : public sim::HintService {
   // every process).
   std::size_t shard_of(std::string_view job_key) const;
   std::size_t pending_requests() const;
+  // Hints computed but not yet taken (or, late ones, freed by their
+  // hint-ready event), summed over shards.
+  std::size_t held_hints() const;
   const PlacementServiceConfig& config() const { return config_; }
 
  private:
-  // A computed hint whose virtual ready time is still in the future.
-  struct InFlightHint {
+  // One hint, from batch execution until its consumer takes it. The
+  // virtual-time fields stay zero/false in the other modes.
+  struct HeldHint {
     int category = 0;
+    // Not published yet: its hint-ready event is still scheduled.
+    bool scheduled = false;
+    // Consumer already fell back (deadline exceeded): the hint-ready event
+    // counts it late and erases it.
+    bool missed = false;
     double ready_time = 0.0;
     double virtual_latency = 0.0;
-    // Consumer already declined this hint (deadline exceeded): deliver
-    // counts it late.
-    bool missed = false;
   };
 
   // Buffers of one batch execution: the batch's job pointers and
@@ -266,23 +288,22 @@ class PlacementService : public sim::HintService {
   struct Shard {
     Shard(PlacementService* service, const PlacementServiceConfig& config);
 
-    // The published hint for `job_id`, if any (takes results_mutex).
-    std::optional<int> published(std::uint64_t job_id) const;
-    // Deterministic modes' lookup: published() after draining the queue
-    // when the hint is not published yet.
-    std::optional<int> drain_and_find(std::uint64_t job_id);
+    // Counts a virtual-time hint published, with its serving delay.
+    void count_published(double virtual_latency)
+        BYOM_REQUIRES(hints_mutex);
 
     InferenceRequestQueue queue;
     Batcher batcher;
 
-    mutable common::Mutex results_mutex;
-    common::CondVar results_cv;
-    core::CategoryHints results BYOM_GUARDED_BY(results_mutex);
-    std::uint64_t completed BYOM_GUARDED_BY(results_mutex) = 0;
-    double wall_latency_total_ms BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double wall_latency_max_ms BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double virtual_latency_total_s BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double virtual_latency_max_s BYOM_GUARDED_BY(results_mutex) = 0.0;
+    mutable common::Mutex hints_mutex;
+    common::CondVar hints_cv;
+    std::unordered_map<std::uint64_t, HeldHint> hints
+        BYOM_GUARDED_BY(hints_mutex);
+    std::uint64_t completed BYOM_GUARDED_BY(hints_mutex) = 0;
+    double wall_latency_total_ms BYOM_GUARDED_BY(hints_mutex) = 0.0;
+    double wall_latency_max_ms BYOM_GUARDED_BY(hints_mutex) = 0.0;
+    double virtual_latency_total_s BYOM_GUARDED_BY(hints_mutex) = 0.0;
+    double virtual_latency_max_s BYOM_GUARDED_BY(hints_mutex) = 0.0;
 
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> dropped{0};
@@ -296,11 +317,6 @@ class PlacementService : public sim::HintService {
     // threaded workers run batches concurrently and bring their own.
     BatchBuffers drain_buffers;
 
-    // Virtual-time mode state (single shard; guarded by results_mutex for
-    // consistency with the results table).
-    std::unordered_map<std::uint64_t, InFlightHint> in_flight
-        BYOM_GUARDED_BY(results_mutex);
-
     // Written by the constructor before any worker runs and joined by
     // shutdown() under shutdown_mutex_; never touched by the workers
     // themselves.
@@ -312,14 +328,17 @@ class PlacementService : public sim::HintService {
   }
 
   void execute_batch(Shard& shard, const std::vector<InferenceRequest>& batch);
-  void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
-                       double virtual_latency);
-  void deliver_virtual(std::uint64_t job_id);
+  // Hint-ready event for the hint of `job_id` ready at `time`.
+  void deliver_virtual(std::uint64_t job_id, double time);
   // Typed SimClock trampoline (virtual-time mode, shard 0): hint-ready
   // delivery, dispatched with zero allocation.
-  static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
-  std::optional<int> wait_for_threaded(Shard& shard, std::uint64_t job_id);
-  std::optional<int> wait_for_virtual(Shard& shard, std::uint64_t job_id);
+  static void on_hint_ready_event(void* ctx, std::uint64_t job_id,
+                                  double time);
+  // Deterministic modes' take: drains the shard first unless the hint for
+  // `job_id` is already published.
+  std::optional<int> take_drained(Shard& shard, std::uint64_t job_id);
+  // Threaded mode's take: waits up to request_deadline for the hint.
+  std::optional<int> take_threaded(Shard& shard, std::uint64_t job_id);
   void worker_loop(Shard& shard);
 
   const PlacementServiceConfig config_;  // num_shards resolved (>= 1)

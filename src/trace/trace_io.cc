@@ -171,7 +171,14 @@ Trace from_csv(const common::CsvTable& table) {
     j.step_name = next().text;
     j.user_name = next().text;
     j.arrival_time = to_double(next());
-    j.lifetime = to_double(next());
+    const Field lifetime = next();
+    j.lifetime = to_double(lifetime);
+    // The oracles read a negative lifetime as an inverted interval that
+    // occupies no capacity.
+    if (j.lifetime < 0.0) {
+      bad_field(lifetime,
+                ("negative for job_id " + std::to_string(j.job_id)).c_str());
+    }
     j.peak_bytes = parse_field<std::uint64_t>(next());
     j.io.bytes_written = parse_field<std::uint64_t>(next());
     j.io.bytes_read = parse_field<std::uint64_t>(next());

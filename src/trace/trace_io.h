@@ -13,7 +13,8 @@ namespace byom::trace {
 common::CsvTable to_csv(const Trace& trace);
 
 // Parse a trace from a CSV table produced by to_csv. Throws
-// std::runtime_error on missing columns or malformed numbers.
+// std::runtime_error on malformed numbers, a duplicate job_id or a negative
+// lifetime, and std::out_of_range on a missing column.
 Trace from_csv(const common::CsvTable& table);
 
 // File-level convenience wrappers.

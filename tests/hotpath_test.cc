@@ -3,7 +3,8 @@
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
 //     FeatureExtractor::extract_into, SimClock::schedule_typed, an empty
-//     Batcher::drain and a published-hint PlacementService::wait_for;
+//     Batcher::drain, a published-hint PlacementService::wait_for, and the
+//     exact allocations of a served round trip;
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -246,9 +247,10 @@ TEST(AllocationGuard, EmptyBatcherDrainIsAllocationFree) {
 }
 
 TEST(AllocationGuard, PublishedHintLookupIsAllocationFree) {
-  // A consumer lookup that hits an already-published hint is a table read:
-  // no drain, no batch, no allocation — in plain deterministic mode and in
-  // virtual-time mode alike.
+  // A consumer lookup that hits an already-published hint is a table take:
+  // no drain, no batch, no allocation (the erase only frees) — in plain
+  // deterministic mode and in virtual-time mode alike. Each job is
+  // consumed once.
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(core::train_backend(
       core::BackendKind::kFrequency, split().train.jobs(),
@@ -266,64 +268,72 @@ TEST(AllocationGuard, PublishedHintLookupIsAllocationFree) {
     ASSERT_TRUE(service.wait_for(jobs[0]).has_value());  // drains, publishes
 
     const std::uint64_t before = allocations();
-    for (std::size_t i = 0; i < 16; ++i) {
+    for (std::size_t i = 1; i < 16; ++i) {
       EXPECT_TRUE(service.wait_for(jobs[i]).has_value());
     }
     EXPECT_EQ(allocations(), before)
         << "wait_for allocated on a published-hint hit";
+    EXPECT_EQ(service.held_hints(), 0u);
   }
 }
 
 TEST(AllocationGuard, ServedSingleRequestRoundTrip) {
-  // One virtual-time enqueue + wait_for round trip at zero latency with a
-  // GBDT default model: the drain pops the single request into the
-  // batcher's reused buffer, the registry-grouped pass scores it into the
-  // shard's reused buffers, and the hint is published. In steady state
-  // the only allocations left are the two things the round trip keeps:
+  // One virtual-time enqueue + wait_for round trip with a GBDT default
+  // model: the drain pops the single request into the batcher's reused
+  // buffer, the registry-grouped pass scores it into the shard's reused
+  // buffers, and the consumer takes the hint. In steady state each round
+  // trip allocates exactly
   //   * the request's copy of its job (InferenceRequest::job — the job's
   //     strings that do not fit the small-string buffer), and
-  //   * the published hint's results-table node (plus the table's bucket
-  //     array whenever it grows).
-  // A mirror copy of the job and a mirror core::CategoryHints table fed
-  // the same job ids count exactly those, request by request.
+  //   * one hint-table node, which the take frees again, so the table's
+  //     bucket array never grows after warm-up.
+  // At a fixed 0.25 s latency the hint is ready after the lookup and is
+  // taken mid-wait; the clock then runs its hint-ready event, which finds
+  // nothing, so the event heap stays at one slot too.
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(core::train_backend(
       core::BackendKind::kGbdt, split().train.jobs(), small_backend_config()));
-  serving::PlacementServiceConfig config;
-  config.num_threads = 0;
-  config.fallback_num_categories = 6;
-  config.clock = std::make_shared<sim::SimClock>();
-  serving::PlacementService service(registry, config);
   const auto& jobs = split().test.jobs();
   constexpr std::size_t kWarmup = 64;
   ASSERT_GT(jobs.size(), kWarmup + 256);
+  for (const double latency : {0.0, 0.25}) {
+    SCOPED_TRACE(latency);
+    serving::PlacementServiceConfig config;
+    config.num_threads = 0;
+    config.fallback_num_categories = 6;
+    config.clock = std::make_shared<sim::SimClock>();
+    config.latency_model = serving::make_fixed_latency_model(latency);
+    config.virtual_request_deadline = 1.0;
+    serving::PlacementService service(registry, config);
+    const auto round_trip = [&](const trace::Job& job) {
+      if (!service.enqueue(job) || !service.wait_for(job)) return false;
+      config.clock->run_until(config.clock->now() + 1.0);
+      return true;
+    };
 
-  core::CategoryHints mirror;
-  for (std::size_t i = 0; i < kWarmup; ++i) {
-    ASSERT_TRUE(service.enqueue(jobs[i]));
-    ASSERT_TRUE(service.wait_for(jobs[i]).has_value());
-    mirror.emplace(jobs[i].job_id, 0);
-  }
-  std::uint64_t served = 0;
-  std::uint64_t kept = 0;
-  for (std::size_t i = kWarmup; i < jobs.size(); ++i) {
-    std::uint64_t before = allocations();
-    const trace::Job copy = jobs[i];
-    mirror.emplace(copy.job_id, 0);
-    const std::uint64_t expected = allocations() - before;
+    for (std::size_t i = 0; i < kWarmup; ++i) {
+      ASSERT_TRUE(round_trip(jobs[i]));
+    }
+    std::uint64_t served = 0;
+    std::uint64_t kept = 0;
+    for (std::size_t i = kWarmup; i < jobs.size(); ++i) {
+      std::uint64_t before = allocations();
+      const trace::Job copy = jobs[i];
+      const std::uint64_t expected = allocations() - before + 1;
 
-    before = allocations();
-    ASSERT_TRUE(service.enqueue(jobs[i]));
-    ASSERT_TRUE(service.wait_for(jobs[i]).has_value());
-    const std::uint64_t actual = allocations() - before;
-    EXPECT_EQ(actual, expected) << "request " << i;
-    served += actual;
-    kept += expected;
+      before = allocations();
+      ASSERT_TRUE(round_trip(jobs[i]));
+      const std::uint64_t actual = allocations() - before;
+      EXPECT_EQ(actual, expected) << "request " << i;
+      served += actual;
+      kept += expected;
+    }
+    EXPECT_EQ(served, kept);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.on_time, jobs.size());
+    EXPECT_EQ(stats.batches, jobs.size());
+    EXPECT_EQ(service.held_hints(), 0u);
   }
-  EXPECT_EQ(served, kept);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.on_time, jobs.size());
-  EXPECT_EQ(stats.batches, jobs.size());
 }
 
 // ---------------------------------------------------- typed event engine

@@ -2,19 +2,29 @@
 // quota, category-count, and configuration sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <tuple>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/category_provider.h"
+#include "core/byom.h"
 #include "core/labeler.h"
+#include "core/model_backend.h"
+#include "core/model_registry.h"
 #include "oracle/greedy_oracle.h"
 #include "oracle/ilp.h"
 #include "policy/adaptive.h"
 #include "policy/first_fit.h"
 #include "policy/oracle_replay.h"
 #include "harness/experiment.h"
+#include "serving/latency_model.h"
+#include "serving/placement_service.h"
+#include "sim/sim_clock.h"
 #include "trace/archetypes.h"
 #include "trace/generator.h"
 
@@ -432,6 +442,78 @@ TEST_P(SimulatorQuota, OracleSavingsMatchSimulatedSavings) {
 
 INSTANTIATE_TEST_SUITE_P(QuotaSweep, SimulatorQuota,
                          ::testing::Values(0.005, 0.05, 0.5));
+
+// ------------------------------------------------ serving-table contract
+
+// Seeded randomized contract of the virtual-time hint table: a
+// single-shard service over a random job subset, with random fixed or
+// exponential latency, deadline, batch size and queue bound, and about a
+// third of the requests submitted up to an hour ahead of their job's
+// arrival (some then overflow the queue bound). Each job is
+// requested once and consumed once, at its arrival; every request is then
+// accounted for, every on-time hint is the offline-batched one, and once
+// the clock has run every event the table holds nothing.
+TEST(ServingContract, RandomizedVirtualTimeHintsAreTakenOnce) {
+  const auto t = shared_trace();
+  constexpr int kCategories = 6;
+  core::BackendConfig backend;
+  backend.model.num_categories = kCategories;
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(core::train_backend(
+      core::BackendKind::kFrequency, t.jobs(), backend));
+
+  for (int instance = 0; instance < 100; ++instance) {
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    common::Rng rng(7000 + static_cast<std::uint64_t>(instance));
+    std::vector<trace::Job> jobs;
+    const double keep = rng.uniform(0.01, 0.08);
+    for (const auto& job : t.jobs()) {
+      if (rng.bernoulli(keep)) jobs.push_back(job);
+    }
+
+    serving::PlacementServiceConfig config;
+    config.num_threads = 0;
+    config.fallback_num_categories = kCategories;
+    config.max_batch = 1 + rng.uniform_index(64);
+    config.queue_capacity = 1 + rng.uniform_index(4);
+    config.clock = std::make_shared<sim::SimClock>();
+    const double latency = rng.uniform(0.0, 3.0);
+    config.latency_model =
+        rng.bernoulli(0.5)
+            ? serving::make_fixed_latency_model(latency)
+            : serving::make_exponential_latency_model(latency, rng.next_u64());
+    config.virtual_request_deadline = rng.uniform(0.0, 3.0);
+    serving::PlacementService service(registry, config);
+    const auto expected =
+        core::precompute_categories(*registry, jobs, kCategories);
+
+    // (time, consume?, job): a job's submit sorts before its consume.
+    std::vector<std::tuple<double, bool, std::size_t>> steps;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const double lead = rng.bernoulli(0.3) ? rng.uniform(0.0, 3600.0) : 0.0;
+      steps.emplace_back(jobs[i].arrival_time - lead, false, i);
+      steps.emplace_back(jobs[i].arrival_time, true, i);
+    }
+    std::sort(steps.begin(), steps.end());
+    for (const auto& [time, consume, i] : steps) {
+      config.clock->run_until(time);
+      if (!consume) {
+        service.enqueue(jobs[i]);
+      } else if (const auto hint = service.wait_for(jobs[i])) {
+        EXPECT_EQ(*hint, expected.at(jobs[i].job_id)) << jobs[i].job_id;
+      }
+    }
+    config.clock->run_all();
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.enqueued + stats.dropped, jobs.size());
+    EXPECT_EQ(stats.on_time + stats.late + stats.dropped, jobs.size());
+    EXPECT_EQ(stats.hits + stats.misses, jobs.size());
+    EXPECT_EQ(stats.hits, stats.on_time);
+    EXPECT_EQ(stats.completed, stats.on_time + stats.late);
+    EXPECT_EQ(service.held_hints(), 0u);
+  }
+}
 
 // ----------------------------------------------------------- determinism
 

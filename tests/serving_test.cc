@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -47,6 +48,13 @@ InferenceRequest request_for(std::uint64_t job_id) {
   return request;
 }
 
+// The job id of the next queued request, if any (a zero-wait pop of one).
+std::optional<std::uint64_t> pop_one(InferenceRequestQueue& queue) {
+  std::vector<InferenceRequest> out;
+  if (queue.pop_batch(out, 1, milliseconds(0)) == 0) return std::nullopt;
+  return out.front().job.job_id;
+}
+
 // Shared trained fixture: one small model + registry + test split.
 struct ServingFixture {
   trace::TrainTestSplit split;
@@ -86,14 +94,10 @@ TEST(InferenceQueue, FifoOrderAndBoundedCapacity) {
   EXPECT_FALSE(queue.try_push(request_for(4)));  // full: back-pressure
   EXPECT_EQ(queue.size(), 3u);
 
-  const auto first = queue.pop(milliseconds(0));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->job.job_id, 1u);
+  EXPECT_EQ(pop_one(queue), std::optional<std::uint64_t>(1));
   EXPECT_TRUE(queue.try_push(request_for(4)));  // slot freed
   for (const std::uint64_t expected : {2u, 3u, 4u}) {
-    const auto popped = queue.pop(milliseconds(0));
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->job.job_id, expected);
+    EXPECT_EQ(pop_one(queue), std::optional<std::uint64_t>(expected));
   }
 }
 
@@ -116,16 +120,15 @@ TEST(InferenceQueue, PopBatchTakesUpToMax) {
 
 TEST(InferenceQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   InferenceRequestQueue queue(8);
-  ASSERT_TRUE(queue.push(request_for(1)));
-  ASSERT_TRUE(queue.push(request_for(2)));
+  ASSERT_TRUE(queue.try_push(request_for(1)));
+  ASSERT_TRUE(queue.try_push(request_for(2)));
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
   EXPECT_FALSE(queue.try_push(request_for(3)));
-  EXPECT_FALSE(queue.push(request_for(3)));
   // Queued work is still drained after shutdown.
-  EXPECT_TRUE(queue.pop(milliseconds(0)).has_value());
-  EXPECT_TRUE(queue.pop(milliseconds(0)).has_value());
-  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  EXPECT_TRUE(pop_one(queue).has_value());
+  EXPECT_TRUE(pop_one(queue).has_value());
+  EXPECT_FALSE(pop_one(queue).has_value());
 }
 
 // ------------------------------------------------------------------ Batcher
@@ -332,7 +335,7 @@ TEST(PlacementService, ShutdownWithEmptyQueueExitsPromptly) {
 
 // Drain order: requests accepted before shutdown() are executed by the
 // exiting workers — when shutdown returns, nothing is left in the queue and
-// every accepted request has a published hint.
+// every accepted request has a held hint, which its consumer then takes.
 TEST(PlacementService, ShutdownDrainsAcceptedRequestsBeforeExit) {
   auto& f = fixture();
   PlacementServiceConfig config;
@@ -351,9 +354,36 @@ TEST(PlacementService, ShutdownDrainsAcceptedRequestsBeforeExit) {
   service.shutdown();
   EXPECT_EQ(service.pending_requests(), 0u);
   EXPECT_EQ(service.stats().completed, accepted);
-  for (const auto& job : jobs) {
-    EXPECT_TRUE(service.lookup(job.job_id).has_value());
-  }
+  EXPECT_EQ(service.held_hints(), accepted);
+  for (const auto& job : jobs) service.wait_for(job);
+  EXPECT_EQ(service.stats().hits, accepted);
+  EXPECT_EQ(service.held_hints(), 0u);
+}
+
+// Take once: a hit erases the hint, a second lookup for the same job
+// misses, a duplicate of a held request is ignored, and a request made
+// after the take is a new one.
+TEST(PlacementService, HintsAreTakenOnceAndFreed) {
+  auto& f = fixture();
+  const auto& jobs = f.split.test.jobs();
+  PlacementService service(f.registry, f.deterministic_config());
+  ASSERT_TRUE(service.enqueue(jobs[0]));
+  ASSERT_TRUE(service.enqueue(jobs[0]));  // duplicate of a queued request
+  ASSERT_TRUE(service.enqueue(jobs[1]));
+  const auto first = service.wait_for(jobs[0]);  // drains all three
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(service.stats().completed, 2u);  // the duplicate is ignored
+  EXPECT_EQ(service.held_hints(), 1u);       // jobs[1] only
+  EXPECT_FALSE(service.wait_for(jobs[0]).has_value());  // already taken
+
+  ASSERT_TRUE(service.enqueue(jobs[0]));  // after the take: a new request
+  EXPECT_EQ(service.wait_for(jobs[0]), first);
+  EXPECT_TRUE(service.wait_for(jobs[1]).has_value());
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(service.held_hints(), 0u);
 }
 
 TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
@@ -539,7 +569,7 @@ TEST(ShardedService, ThreadedShardsServeEveryHintBeforeDeadline) {
 // joining any workers. The old order (stop+join shard by shard) drained
 // shard 0 but left later shards' accepted requests unexecuted when their
 // workers raced the flag. Every accepted request on every shard must have a
-// published hint once shutdown returns.
+// held hint once shutdown returns.
 TEST(ShardedService, ShutdownDrainsAllShards) {
   auto& f = fixture();
   PlacementServiceConfig config;
@@ -560,10 +590,11 @@ TEST(ShardedService, ShutdownDrainsAllShards) {
   service.shutdown();
   EXPECT_EQ(service.pending_requests(), 0u);
   EXPECT_EQ(service.stats().completed, accepted);
-  for (const auto& job : jobs) {
-    EXPECT_TRUE(service.lookup(job.job_id).has_value())
-        << "shard " << service.shard_of(job.job_key)
-        << " lost a request on shutdown";
+  EXPECT_EQ(service.held_hints(), accepted);
+  for (std::size_t i = 0; i < service.num_shards(); ++i) {
+    const auto shard = service.shard_stats(i);
+    EXPECT_EQ(shard.completed, shard.enqueued)
+        << "shard " << i << " lost a request on shutdown";
   }
 }
 
@@ -800,6 +831,10 @@ TEST(VirtualTime, ServedLatencyCellNeverTimedWaits) {
   EXPECT_EQ(stats.enqueued, test.size());
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.timed_waits, 0u);
+  // Every hint was taken on time or freed by its late hint-ready event:
+  // the table keeps nothing once the replay has run every event.
+  EXPECT_EQ(context.hint_service->held_hints(), 0u);
+  EXPECT_EQ(stats.completed, stats.on_time + stats.late);
 }
 
 TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
@@ -824,6 +859,11 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
   // counters must stay untouched (the ISSUE-4 unit-mixing bugfix).
   EXPECT_EQ(stats.wall_latency_total_ms, 0.0);
   EXPECT_EQ(stats.wall_latency_max_ms, 0.0);
+  // Taken mid-wait: freed at once; the hint-ready event finds nothing.
+  EXPECT_EQ(service.held_hints(), 0u);
+  config.clock->run_all();
+  EXPECT_EQ(service.stats().completed, 1u);
+  EXPECT_EQ(service.stats().late, 0u);
 }
 
 TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
@@ -839,18 +879,71 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
   EXPECT_FALSE(service.wait_for(job).has_value());  // cannot make it
   EXPECT_EQ(service.stats().misses, 1u);
   EXPECT_EQ(service.stats().late, 0u);  // not delivered yet
+  EXPECT_EQ(service.stats().completed, 0u);
+  EXPECT_EQ(service.held_hints(), 1u);
 
-  // The hint-ready event fires at t = 5: the hint lands in the results
-  // table (an observer sees it) and is counted late.
+  // The hint-ready event fires at t = 5: its consumer already fell back,
+  // so the event counts the hint late and frees it.
   config.clock->run_all();
   EXPECT_DOUBLE_EQ(config.clock->now(), 5.0);
-  const auto hint = service.lookup(job.job_id);
-  ASSERT_TRUE(hint.has_value());
-  EXPECT_EQ(*hint, f.model->predict_category(job));
   const auto stats = service.stats();
   EXPECT_EQ(stats.late, 1u);
   EXPECT_EQ(stats.on_time, 0u);
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(service.held_hints(), 0u);
+  EXPECT_FALSE(service.wait_for(job).has_value());
+}
+
+// A hint whose event fires before its consumer asks is published by the
+// event and held until the consumer takes it, on time.
+TEST(VirtualTime, HintPublishedByEventWaitsForItsConsumer) {
+  auto& f = fixture();
+  auto config = f.deterministic_config();
+  config.clock = std::make_shared<sim::SimClock>();
+  config.latency_model = make_fixed_latency_model(5.0);
+  PlacementService service(f.registry, config);
+
+  const auto& jobs = f.split.test.jobs();
+  ASSERT_TRUE(service.enqueue(jobs[0]));
+  ASSERT_TRUE(service.enqueue(jobs[1]));
+  EXPECT_FALSE(service.wait_for(jobs[1]).has_value());  // drains both
+  EXPECT_EQ(service.held_hints(), 2u);
+  config.clock->run_all();  // both events fire at t = 5
+  EXPECT_EQ(service.stats().completed, 2u);
+  EXPECT_EQ(service.held_hints(), 1u);  // jobs[1]'s late hint is freed
+  const auto hint = service.wait_for(jobs[0]);
+  ASSERT_TRUE(hint.has_value());
+  EXPECT_EQ(*hint, f.model->predict_category(jobs[0]));
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.on_time, 1u);
+  EXPECT_EQ(stats.late, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(service.held_hints(), 0u);
+}
+
+// After a mid-wait take, a new request for the same job is a new request
+// with its own hint-ready event; the first request's event leaves it alone.
+TEST(VirtualTime, EarlierHintReadyEventLeavesANewRequestAlone) {
+  auto& f = fixture();
+  auto config = f.deterministic_config();
+  config.clock = std::make_shared<sim::SimClock>();
+  config.latency_model = make_fixed_latency_model(2.0);
+  config.virtual_request_deadline = 5.0;
+  PlacementService service(f.registry, config);
+
+  const auto& jobs = f.split.test.jobs();
+  ASSERT_TRUE(service.enqueue(jobs[0]));
+  ASSERT_TRUE(service.wait_for(jobs[0]).has_value());  // ready at 2, taken
+  config.clock->run_until(1.0);
+  ASSERT_TRUE(service.enqueue(jobs[0]));  // ready at 3
+  EXPECT_FALSE(service.wait_for(jobs[1]).has_value());  // drains it
+  config.clock->run_until(2.5);  // the first request's event fires
+  EXPECT_EQ(service.stats().completed, 1u);
+  EXPECT_EQ(service.held_hints(), 1u);
+  config.clock->run_until(3.0);  // the new request's event publishes it
+  EXPECT_EQ(service.stats().completed, 2u);
+  EXPECT_TRUE(service.wait_for(jobs[0]).has_value());
+  EXPECT_EQ(service.held_hints(), 0u);
 }
 
 // -------------------------------------------------- noisy cells determinism

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -26,6 +27,13 @@ InferenceRequest request_for(std::uint64_t job_id) {
   request.job.job_key = "pipe/step";
   request.enqueued_at = std::chrono::steady_clock::now();
   return request;
+}
+
+// The job id of the next queued request, if any (a zero-wait pop of one).
+std::optional<std::uint64_t> pop_one(InferenceRequestQueue& queue) {
+  std::vector<InferenceRequest> out;
+  if (queue.pop_batch(out, 1, milliseconds(0)) == 0) return std::nullopt;
+  return out.front().job.job_id;
 }
 
 TEST(StripedQueue, RejectsZeroCapacityAndZeroStripes) {
@@ -56,9 +64,7 @@ TEST(StripedQueue, SingleStripeKeepsGlobalFifo) {
     ASSERT_TRUE(queue.try_push(request_for(id)));
   }
   for (std::uint64_t expected = 1; expected <= 5; ++expected) {
-    const auto popped = queue.pop(milliseconds(0));
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->job.job_id, expected);
+    EXPECT_EQ(pop_one(queue), std::optional<std::uint64_t>(expected));
   }
 }
 
@@ -80,7 +86,7 @@ TEST(StripedQueue, BoundsArePerStripe) {
   EXPECT_EQ(queue.size(), 2u);
 
   // A slot frees once a request on that stripe is consumed.
-  ASSERT_TRUE(queue.pop(milliseconds(0)).has_value());
+  ASSERT_TRUE(pop_one(queue).has_value());
   EXPECT_TRUE(queue.try_push(request_for(same_stripe[2])));
 }
 
@@ -187,13 +193,12 @@ TEST(StripedQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   InferenceRequestQueue queue(64, 4);
   std::vector<std::uint64_t> pushed;
   for (std::uint64_t id = 0; id < 10; ++id) {
-    ASSERT_TRUE(queue.push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(request_for(id)));
     pushed.push_back(id);
   }
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
   EXPECT_FALSE(queue.try_push(request_for(99)));
-  EXPECT_FALSE(queue.push(request_for(99)));
 
   // Everything accepted before shutdown is still drained.
   std::vector<InferenceRequest> out;
@@ -209,34 +214,12 @@ TEST(StripedQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   EXPECT_EQ(queue.pop_batch(out, 4), 0u);
 }
 
-TEST(StripedQueue, ShutdownUnblocksBlockedProducer) {
-  InferenceRequestQueue queue(4, 4);  // 1 slot per stripe
-  const std::size_t target = queue.stripe_of(0);
-  std::vector<std::uint64_t> same_stripe;
-  for (std::uint64_t id = 0; same_stripe.size() < 2; ++id) {
-    if (queue.stripe_of(id) == target) same_stripe.push_back(id);
-  }
-  ASSERT_TRUE(queue.try_push(request_for(same_stripe[0])));
-
-  std::atomic<bool> push_returned{false};
-  std::thread producer([&] {
-    // Blocks: the stripe is full.
-    EXPECT_FALSE(queue.push(request_for(same_stripe[1])));
-    push_returned.store(true);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(push_returned.load());
-  queue.shutdown();
-  producer.join();
-  EXPECT_TRUE(push_returned.load());
-}
-
 TEST(StripedQueue, TimedPopTimesOutOnEmptyQueue) {
   InferenceRequestQueue queue(16, 4);
   std::vector<InferenceRequest> out;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(10)), 0u);
-  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  EXPECT_FALSE(pop_one(queue).has_value());
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -249,7 +232,7 @@ TEST(StripedQueue, ZeroWaitPopNeverEntersTimedWait) {
   InferenceRequestQueue queue(16, 4);
   std::vector<InferenceRequest> out;
   EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 0u);
-  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  EXPECT_FALSE(pop_one(queue).has_value());
   EXPECT_EQ(queue.timed_waits(), 0u);
   for (std::uint64_t id = 1; id <= 3; ++id) {
     ASSERT_TRUE(queue.try_push(request_for(id)));

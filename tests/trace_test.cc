@@ -357,6 +357,26 @@ TEST(TraceIo, DuplicateJobIdThrows) {
   }
 }
 
+// A negative lifetime is an inverted interval the oracles would treat as
+// occupying no capacity; loading names the column and the job instead.
+TEST(TraceIo, NegativeLifetimeThrows) {
+  const Trace t = small_trace();
+  auto table = to_csv(t);
+  table.rows[0][table.column("lifetime")] = "-600";
+  const std::string id = table.rows[0][table.column("job_id")];
+  try {
+    from_csv(table);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lifetime"), std::string::npos) << what;
+    EXPECT_NE(what.find("job_id " + id), std::string::npos) << what;
+  }
+  // Zero stays legal: a job that ends as it starts.
+  table.rows[0][table.column("lifetime")] = "0";
+  EXPECT_EQ(from_csv(table).jobs()[0].lifetime, 0.0);
+}
+
 // Each malformed field throws std::runtime_error naming its column instead
 // of loading a wrapped, truncated or partially parsed value.
 TEST(TraceIo, MalformedFieldTableThrows) {

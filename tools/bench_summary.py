@@ -4,6 +4,7 @@
 Usage:
     bench_summary.py RAW_JSON [-o OUTPUT_JSON] [--note KEY=VALUE]...
                      [--soak STREAM_JSON MATERIALIZED_JSON]
+                     [--soak-short SHORT_STREAM_JSON]
                      [--compare BASELINE_JSON]
                      [--ratio-threshold R] [--timing-threshold T]
 
@@ -31,7 +32,11 @@ RSS, jobs/sec and wall/CPU, plus two derived ratios: soak_peak_rss_ratio
 (streamed peak RSS over materialized — the O(window)-vs-O(trace) claim,
 lower is better) and soak_wall_cpu_ratio (the stream-mode run's wall time
 over its process CPU time; the replay is deterministic and single-threaded,
-so anything well above 1.0 means it sleeps).
+so anything well above 1.0 means it sleeps). --soak-short adds a stream-mode
+run at a shorter horizon and derives soak_stream_rss_growth_ratio (the
+long stream run's peak RSS over the short one's: ~1.0 when streamed state
+is O(window), growing with the horizon when something keeps O(trace)
+state).
 """
 
 import argparse
@@ -132,7 +137,11 @@ RATIOS = [
 # the ratio by factors that a drift threshold sized for timing ratios would
 # misread as regressions. The wall/CPU ratio is already an absolute
 # contract (a single-threaded replay must not sleep), so it gets a bound too.
-SOAK_RATIOS = {"soak_peak_rss_ratio": "lower", "soak_wall_cpu_ratio": "lower"}
+SOAK_RATIOS = {
+    "soak_peak_rss_ratio": "lower",
+    "soak_stream_rss_growth_ratio": "lower",
+    "soak_wall_cpu_ratio": "lower",
+}
 
 # Absolute acceptance bars, checked against the *fresh* run during
 # --compare (relative drift from the baseline is checked separately): a
@@ -146,6 +155,9 @@ ABSOLUTE_BOUNDS = {
     # 20x horizon); the bound leaves room for runner base-RSS differences
     # while still catching any O(trace) reversion (which pushes it to ~1).
     "soak_peak_rss_ratio": ("max", 0.25),
+    # Streamed peak RSS must not grow with the horizon (140 d over 35 d in
+    # CI): a hint table that kept one node per served job read 1.24 there.
+    "soak_stream_rss_growth_ratio": ("max", 1.10),
     # The deterministic served soak must stay on CPU: one timed condvar
     # wait per job once put it at ~4-5x (wall time spent asleep).
     "soak_wall_cpu_ratio": ("max", 1.10),
@@ -246,6 +258,26 @@ def ingest_soak(summary, stream_path, materialized_path):
             float(modes["stream"]["wall_cpu_ratio"]), 3)
 
 
+def ingest_soak_short(summary, short_path):
+    """Fold a shorter-horizon stream-mode bench_soak run into `summary`."""
+    with open(short_path, "r", encoding="utf-8") as f:
+        run = json.load(f)
+    stream = summary.get("soak", {}).get("stream")
+    if stream is None:
+        raise SystemExit("--soak-short needs --soak")
+    if run.get("mode") != "stream" or not run["days"] < stream["days"]:
+        raise SystemExit(
+            f"--soak-short needs a stream-mode run shorter than "
+            f"{stream['days']} days, got mode {run.get('mode')} at "
+            f"{run.get('days')} days")
+    summary["soak"]["stream_short"] = {
+        k: run[k] for k in SOAK_FIELDS if k in run}
+    short_rss = float(run.get("peak_rss_kb", 0))
+    if short_rss > 0.0:
+        summary["derived"]["soak_stream_rss_growth_ratio"] = round(
+            float(stream.get("peak_rss_kb", 0)) / short_rss, 3)
+
+
 def compare(fresh, baseline, ratio_threshold, timing_threshold):
     """Diff `fresh` against the committed `baseline` summary.
 
@@ -324,6 +356,10 @@ def main(argv):
         help="bench_soak JSON summaries (one per mode) to fold into the "
              "summary; derives soak_peak_rss_ratio and soak_wall_cpu_ratio")
     parser.add_argument(
+        "--soak-short", metavar="SHORT_STREAM_JSON",
+        help="a stream-mode bench_soak run at a shorter horizon than the "
+             "--soak stream run; derives soak_stream_rss_growth_ratio")
+    parser.add_argument(
         "--compare", metavar="BASELINE_JSON",
         help="committed summary to gate against; derived-ratio regressions "
              "beyond --ratio-threshold exit 1")
@@ -351,6 +387,8 @@ def main(argv):
     summary = summarize(report, notes)
     if args.soak:
         ingest_soak(summary, args.soak[0], args.soak[1])
+    if args.soak_short:
+        ingest_soak_short(summary, args.soak_short)
     with open(args.output, "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
